@@ -10,7 +10,6 @@ from .amplitude import (
     lorentzian_closed_form,
     lorentzian_min_times,
     solve_volterra,
-    write_trajectory_csv,
 )
 from .dynamics import (
     QubitInitialState,

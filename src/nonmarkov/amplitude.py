@@ -34,15 +34,12 @@ class SolverConfig:
     dt: float
     t_max: float
     method: Method = Method.CLOSED_FORM
-    tolerance: float = constants.QUADRATURE_REL_TOL
 
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise PhysicalityError(f"dt must be positive, got {self.dt}")
         if not (self.t_max >= 10 * self.dt):
             raise PhysicalityError(f"t_max must be at least 10*dt, got {self.t_max}")
-        if not (self.tolerance > 0):
-            raise PhysicalityError("tolerance must be positive")
 
     @property
     def steps(self) -> int:
@@ -218,21 +215,10 @@ def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTraj
         t = cfg.dt * np.arange(n + 1)
         values = lorentzian_closed_form(model.gamma0, model.width, t).astype(complex)
         return AmplitudeTrajectory(dt=cfg.dt, values=values, lorentzian=model)
-    f = correlation(model, cfg.dt, n + 1, rel_tol=cfg.tolerance)
+    f = correlation(model, cfg.dt, n + 1)
     traj = solve_volterra(f, cfg)
     meta = model if isinstance(model, Lorentzian) and model.detuning == 0.0 else None
     if meta is not None:
         traj = AmplitudeTrajectory(dt=traj.dt, values=traj.values, lorentzian=meta)
     return traj
 
-
-def write_trajectory_csv(traj: AmplitudeTrajectory, path) -> None:
-    """Write (t, re_b, im_b, abs_b) rows at 12 significant digits."""
-    t = traj.times()
-    v = traj.values
-    with open(path, "w", newline="") as fh:
-        fh.write("t,re_b,im_b,abs_b\n")
-        for i in range(v.size):
-            fh.write(
-                f"{t[i]:.12g},{v[i].real:.12g},{v[i].imag:.12g},{abs(v[i]):.12g}\n"
-            )

@@ -15,7 +15,8 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,7 +52,7 @@ class ConfigError(Exception):
 _SCHEMA = {
     "model": {"type", "gamma0", "width_ratio", "detuning", "coupling", "exponent",
               "cutoff", "qubit_frequency", "table"},
-    "solver": {"method", "dt", "t_max", "tolerance"},
+    "solver": {"method", "dt", "t_max"},
     "measure": {"min_tolerance"},
     "run": {"seed", "samples", "jobs"},
 }
@@ -73,7 +74,6 @@ class RunConfig:
     method: str = "auto"
     dt: float = 1e-3
     t_max: float | None = None
-    tolerance: float = constants.QUADRATURE_REL_TOL
     min_tolerance: float = constants.MIN_VALUE_TOL
     seed: int = 42
     samples: int = 10000
@@ -117,13 +117,12 @@ class RunConfig:
                 t_max = default_horizon(model.gamma0, model.width)
             else:
                 raise ConfigError("t_max has no automatic rule for this model; pass --t-max")
-        return SolverConfig(dt=self.dt, t_max=t_max, method=method, tolerance=self.tolerance)
+        return SolverConfig(dt=self.dt, t_max=t_max, method=method)
 
     def effective(self) -> dict:
         out = {
             "model": {"type": self.model_type, "gamma0": self.gamma0},
-            "solver": {"method": self.method, "dt": self.dt, "t_max": self.t_max,
-                       "tolerance": self.tolerance},
+            "solver": {"method": self.method, "dt": self.dt, "t_max": self.t_max},
             "measure": {"min_tolerance": self.min_tolerance},
             "run": {"seed": self.seed, "samples": self.samples, "jobs": self.jobs},
         }
@@ -139,7 +138,7 @@ class RunConfig:
 
 
 _FLOAT_KEYS = {"gamma0", "width_ratio", "detuning", "coupling", "exponent", "cutoff",
-               "qubit_frequency", "dt", "t_max", "tolerance", "min_tolerance"}
+               "qubit_frequency", "dt", "t_max", "min_tolerance"}
 _INT_KEYS = {"seed", "samples", "jobs"}
 _STR_KEYS = {"type": "model_type", "method": "method", "table": "table"}
 
@@ -149,22 +148,31 @@ def load_config_file(path: str) -> dict:
     import configparser
 
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, ValueError) as exc:
+        # configparser messages span lines; the CLI reports one.
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"cannot parse config file {path!r}: {detail}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
+        for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             if key in _STR_KEYS:
                 values[_STR_KEYS[key]] = raw.strip()
-            elif key in _INT_KEYS:
-                values[key] = int(raw)
-            else:
-                values[key] = float(raw)
+                continue
+            kind = int if key in _INT_KEYS else float
+            try:
+                values[key] = kind(raw)
+            except ValueError:
+                expected = "an integer" if kind is int else "a number"
+                raise ConfigError(f"[{section}] {key} = {raw!r} is not {expected}") from None
     return values
 
 
@@ -197,19 +205,18 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        yield sys.stdout
+        return
+    with open(path, "w", newline="") as fh:
+        yield fh
 
 
 def _write(path, text: str) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         fh.write(text)
-    finally:
-        if close:
-            fh.close()
 
 
 def cmd_simulate(cfg: RunConfig, out) -> int:
@@ -221,12 +228,13 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
     x = np.abs(b)
     x2 = x * x
     d_two = x * np.sqrt(2.0 - 2.0 * x2 + x2 * x2)
-    lines = ["t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi"]
-    for i in range(b.size):
-        row = (t[i], b[i].real, b[i].imag, x[i], x2[i], x[i], x2[i], d_two[i],
-               x2[i], x2[i] * x2[i])
-        lines.append(",".join(_fmt(v) for v in row))
-    _write(out, "\n".join(lines) + "\n")
+    # Row by row: joining 386k rows first would hold the whole file in memory.
+    with _output(out) as fh:
+        fh.write("t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi\n")
+        for i in range(b.size):
+            row = (t[i], b[i].real, b[i].imag, x[i], x2[i], x[i], x2[i], d_two[i],
+                   x2[i], x2[i] * x2[i])
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     return EXIT_OK
 
 
@@ -258,16 +266,11 @@ def cmd_measure(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _sweep_point(payload: tuple) -> tuple:
+def _sweep_point(cfg: RunConfig) -> tuple:
     """One sweep row; module-level so process pools can pickle it."""
-    (gamma0, ratio, dt, t_max, tolerance, min_tolerance) = payload
-    cfg = RunConfig(
-        model_type="lorentzian", gamma0=gamma0, width_ratio=ratio, dt=dt,
-        t_max=t_max, tolerance=tolerance, min_tolerance=min_tolerance,
-    )
     bundle = _measure_bundle(cfg)
     return (
-        ratio,
+        cfg.width_ratio,
         bundle["kappa"],
         bundle["regime"],
         bundle["n_single"]["total"],
@@ -281,16 +284,20 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
         raise ConfigError("sweep needs at least 2 steps")
     if not (0 < args.width_from and 0 < args.width_to):
         raise ConfigError("width ratios must be positive")
-    ratios = np.linspace(args.width_from, args.width_to, args.steps)
-    payloads = [
-        (cfg.gamma0, float(r), cfg.dt, cfg.t_max, cfg.tolerance, cfg.min_tolerance)
-        for r in ratios
+    if cfg.model_type != "lorentzian":
+        raise ConfigError(
+            f"sweep varies the Lorentzian width; model type {cfg.model_type!r} has none"
+        )
+    points = [
+        replace(cfg, width_ratio=float(r))
+        for r in np.linspace(args.width_from, args.width_to, args.steps)
     ]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
+    workers = min(cfg.jobs, len(points), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_sweep_point, points))
     else:
-        rows = [_sweep_point(p) for p in payloads]
+        rows = [_sweep_point(p) for p in points]
     lines = ["width_ratio,kappa,regime,n_single,n_eg,n_two_lower"]
     for ratio, kap, regime, n_s, n_eg, n_two in rows:
         lines.append(

@@ -8,7 +8,6 @@ implementation and the test suite agree on a single source of truth.
 HERMITICITY_TOL = 1e-12      # max |M - M^dagger| accepted before symmetrizing
 TRACE_TOL = 1e-12            # |tr(rho) - 1| accepted
 PSD_EIGENVALUE_FLOOR = -1e-10  # smallest eigenvalue accepted as "positive"
-EIGENVALUE_SUM_TOL = 1e-10   # eigenvalue sum must match trace this well
 
 # State parameterization
 COHERENCE_SLACK = 1e-12      # |beta|^2 <= alpha(1-alpha) + this
@@ -27,9 +26,6 @@ PLATEAU_TOL = 1e-14          # |forward difference| below this is a plateau
 MIN_VALUE_TOL = 1e-6         # default: how close to zero a minimum must be
 ENVELOPE_CUTOFF = 1e-8       # stop summing maxima once the envelope is below
 TAIL_SAFETY = 1e-6           # relative inflation of reported tail bounds
-
-# Quadrature
-QUADRATURE_REL_TOL = 1e-6    # relative accuracy target for correlation f(t)
 
 # Theorem verification
 THEOREM_SLACK = 1e-9         # D(t) <= |b(t)| + this

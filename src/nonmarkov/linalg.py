@@ -1,9 +1,9 @@
 """Dense complex linear algebra for 2x2 and 4x4 Hermitian matrices.
 
 Only what the trace-distance and concurrence oracles need: Hermitian
-eigenvalues (closed form for 2x2, cyclic Jacobi for larger), Kronecker
-products, and the Wootters concurrence. Matrices are plain complex numpy
-arrays; :class:`DensityMatrix` wraps one with physicality checks.
+eigenvalues (LAPACK `eigvalsh`), Kronecker products, and the Wootters
+concurrence. Matrices are plain complex numpy arrays; :class:`DensityMatrix`
+wraps one with physicality checks.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constants
-from .errors import NumericalFailureError, PhysicalityError
+from .errors import PhysicalityError
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
@@ -28,65 +28,18 @@ def _as_complex_matrix(m) -> np.ndarray:
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, ascending, from LAPACK `eigvalsh`.
 
-    2x2 matrices use the closed quadratic formula; anything larger goes
-    through a cyclic Jacobi iteration with unitary plane rotations. Raises
-    :class:`PhysicalityError` if the input deviates from Hermiticity by
-    more than the shared tolerance.
+    Raises :class:`PhysicalityError` if the input deviates from Hermiticity
+    by more than the shared tolerance; `eigvalsh` reads one triangle only,
+    so the check is what keeps a non-Hermitian input from passing silently.
     """
     a = _as_complex_matrix(m)
     dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
     scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
     if dev > constants.HERMITICITY_TOL * scale:
         raise PhysicalityError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    n = a.shape[0]
-    if n == 1:
-        return np.array([a[0, 0].real])
-    if n == 2:
-        half_tr = 0.5 * (a[0, 0].real + a[1, 1].real)
-        half_diff = 0.5 * (a[0, 0].real - a[1, 1].real)
-        r = np.hypot(half_diff, abs(a[0, 1]))
-        return np.array([half_tr - r, half_tr + r])
-    return _jacobi_eigenvalues(a)
-
-
-def _jacobi_eigenvalues(a: np.ndarray, max_sweeps: int = 30) -> np.ndarray:
-    """Cyclic Jacobi for complex Hermitian matrices (eigenvalues only)."""
-    h = 0.5 * (a + a.conj().T)  # exact Hermitian copy to iterate on
-    n = h.shape[0]
-    norm = np.linalg.norm(h)
-    if norm == 0.0:
-        return np.zeros(n)
-    tol = 1e-15 * norm
-    for _ in range(max_sweeps):
-        # Off-diagonal norm summed directly: the norm(h)^2 - sum(diag^2)
-        # shortcut cancels catastrophically once off ~ sqrt(eps)*norm.
-        off = np.linalg.norm(h - np.diag(np.diag(h)))
-        if off <= tol:
-            return np.sort(np.diag(h).real)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = h[p, q]
-                if abs(hpq) <= tol / (n * n):
-                    continue
-                # Phase out h[p,q], then a real Jacobi rotation on the
-                # remaining symmetric 2x2 block.
-                phase = hpq / abs(hpq)
-                app = h[p, p].real
-                aqq = h[q, q].real
-                tau = (aqq - app) / (2.0 * abs(hpq))
-                t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                v = np.array([[c * phase, s * phase], [-s, c]])
-                h[:, [p, q]] = h[:, [p, q]] @ v
-                h[[p, q], :] = v.conj().T @ h[[p, q], :]
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                h[p, p] = h[p, p].real
-                h[q, q] = h[q, q].real
-    raise NumericalFailureError("Jacobi eigenvalue iteration did not converge")
+    return np.linalg.eigvalsh(a)
 
 
 @dataclass(frozen=True, eq=False)

@@ -431,9 +431,8 @@ def verify_theorem(
             first=QubitInitialState(float(alpha[worst]), complex(beta[worst])),
             second=QubitInitialState(float(mu[worst]), complex(nu[worst])),
         )
-    xs = np.abs(b_traj.values)
-    canonical = xs * np.sqrt(xs * xs * 0.0 + 1.0)  # optimal pair: A = 0, B = 1
-    canonical_error = float(np.max(np.abs(canonical - bound_scale * xs)))
+    # The optimal pair (A = 0, B = 1) has D(t) = |b(t)| exactly.
+    canonical_error = abs(1.0 - bound_scale) * x
     return TheoremVerification(
         samples=samples,
         seed=seed,
@@ -468,20 +467,26 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     intervals = find_extrema(sig)
     level = np.linspace(0.0, 1.0, grid_density)
     radius = np.linspace(-1.0, 1.0, grid_density)
-    al, rb, mu, rn = np.meshgrid(level, radius, level, radius, indexing="ij")
-    beta = rb * np.sqrt(al * (1.0 - al))
-    nu = rn * np.sqrt(mu * (1.0 - mu))
-    a2 = (al - mu) ** 2
-    b2 = (beta - nu) ** 2
-    score = np.zeros_like(a2)
-    for iv in intervals:
-        hi, lo = iv.value_at_max, iv.value_at_min
-        score += hi * np.sqrt(hi * hi * a2 + b2) - lo * np.sqrt(lo * lo * a2 + b2)
-    flat = int(np.argmax(score))  # first index wins ties deterministically
-    idx = np.unravel_index(flat, score.shape)
-    best_pair = StatePair(
-        first=QubitInitialState(float(level[idx[0]]), complex(beta[idx])),
-        second=QubitInitialState(float(level[idx[2]]), complex(nu[idx])),
-    )
+    # One alpha slice of the (alpha, beta, mu, nu) grid at a time keeps memory
+    # at grid_density^3; its axes are (beta radius, mu, nu radius).
+    mu = level[None, :, None]
+    nu = radius[None, None, :] * np.sqrt(mu * (1.0 - mu))
+    best_score = -np.inf
+    for al in level:
+        beta = radius[:, None, None] * np.sqrt(al * (1.0 - al))
+        a2 = (al - mu) ** 2
+        b2 = (beta - nu) ** 2
+        score = np.zeros(b2.shape)
+        for iv in intervals:
+            hi, lo = iv.value_at_max, iv.value_at_min
+            score += hi * np.sqrt(hi * hi * a2 + b2) - lo * np.sqrt(lo * lo * a2 + b2)
+        flat = int(np.argmax(score))
+        if score.flat[flat] > best_score:  # strict: the first index in C order wins ties
+            best_score = score.flat[flat]
+            j, k, m = np.unravel_index(flat, score.shape)
+            best_pair = StatePair(
+                first=QubitInitialState(float(al), complex(beta[j, 0, 0])),
+                second=QubitInitialState(float(level[k]), complex(nu[0, k, m])),
+            )
     exact = blp_from_trajectory(pair_distance_trajectory(b_traj, best_pair))
     return BruteForceResult(best_pair=best_pair, best_total=exact.total, grid_density=grid_density)

@@ -4,22 +4,25 @@ Rates are in units of an arbitrary reference rate chosen by the caller
 (the CLI uses gamma0 = 1); times are in inverse units of the same rate.
 
 The Lorentzian correlation uses the wide-band closed form
-f(t) = (gamma0*width/2) * exp((i*detuning - width) * t). Ohmic-family
-spectra go through vectorized composite Gauss-Legendre quadrature with a
-doubling error estimate; tabulated spectra integrate their linear
-interpolant times the oscillatory factor exactly, segment by segment.
+f(t) = (gamma0*width/2) * exp((i*detuning - width) * t), and the Ohmic
+family the Gamma-function closed form
+f(t) = coupling * cutoff^2 * Gamma(s+1) * exp(i*w0*t) / (1 + i*cutoff*t)^(s+1)
+(Leggett et al., Rev. Mod. Phys. 59, 1 (1987)). Tabulated spectra
+integrate their linear interpolant times the oscillatory factor exactly,
+segment by segment.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from . import constants
-from .errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
+from .errors import PhysicalityError, UnsupportedModelError
 
 
 class Regime(enum.Enum):
@@ -144,12 +147,7 @@ class CorrelationSamples:
         object.__setattr__(self, "values", v)
 
 
-def correlation(
-    model: SpectralModel,
-    dt: float,
-    n: int,
-    rel_tol: float = constants.QUADRATURE_REL_TOL,
-) -> CorrelationSamples:
+def correlation(model: SpectralModel, dt: float, n: int) -> CorrelationSamples:
     """Sample the reservoir correlation f(t) = integral J(w) e^{i(w0-w)t} dw.
 
     Returns n samples at t = 0, dt, ..., (n-1)*dt.
@@ -163,7 +161,7 @@ def correlation(
         amp = 0.5 * model.gamma0 * model.width
         values = amp * np.exp((1j * model.detuning - model.width) * t)
     elif isinstance(model, OhmicFamily):
-        values = _ohmic_correlation(model, t, rel_tol)
+        values = _ohmic_correlation(model, t)
     elif isinstance(model, Tabulated):
         values = _tabulated_correlation(model, t)
     else:
@@ -188,64 +186,18 @@ def spectral_density(model: SpectralModel, omega) -> np.ndarray | float:
     return out if np.ndim(omega) else float(out[0])
 
 
-def _gauss_legendre_nodes(edges: np.ndarray, order: int = 10):
-    x, w = np.polynomial.legendre.leggauss(order)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-def _graded_edges(omega_max: float, panels: int, grading: int = 16) -> np.ndarray:
-    """Uniform panels, with the first one refined geometrically toward 0.
-
-    Sub-ohmic spectra have an algebraic kink at w = 0 that uniform panels
-    cannot resolve; geometric grading restores convergence there.
-    """
-    edges = np.linspace(0.0, omega_max, panels + 1)
-    first = edges[1] * 0.5 ** np.arange(grading - 1, -1, -1)
-    return np.concatenate([[0.0], first, edges[2:]])
-
-
-def _oscillatory_sum(j_vals, weights, omega, omega0, t, chunk=4096):
-    """Sum_k w_k J_k exp(i (w0 - w_k) t_i), chunked over t."""
-    out = np.empty(t.size, dtype=complex)
-    coeff = weights * j_vals
-    delta = omega0 - omega
-    for lo in range(0, t.size, chunk):
-        block = t[lo : lo + chunk]
-        out[lo : lo + chunk] = np.exp(1j * np.outer(block, delta)) @ coeff
-    return out
-
-
-def _ohmic_correlation(model: OhmicFamily, t: np.ndarray, rel_tol: float) -> np.ndarray:
-    omega_max = 40.0 * model.cutoff
-    t_last = float(t[-1]) if t.size else 0.0
-    # Roughly one oscillation period of the integrand per panel.
-    panels = max(32, int(np.ceil(omega_max * max(t_last, 1e-30) / (2.0 * np.pi))))
-    if panels > 200_000:
-        raise NumericalFailureError(
-            f"oscillatory quadrature needs {panels} panels; horizon too long for "
-            "the Ohmic correlation path"
-        )
-
-    def run(p):
-        nodes, weights = _gauss_legendre_nodes(_graded_edges(omega_max, p))
-        return _oscillatory_sum(
-            spectral_density(model, nodes), weights, nodes, model.qubit_frequency, t
-        )
-
-    coarse = run(panels)
-    fine = run(2 * panels)
-    scale = max(abs(fine[0]), 1e-300)
-    err = float(np.max(np.abs(fine - coarse))) / scale
-    if err > rel_tol:
-        raise NumericalFailureError(
-            f"correlation quadrature did not converge (estimated relative error {err:.3e} "
-            f"> {rel_tol:.1e})"
-        )
-    return fine
+def _ohmic_correlation(model: OhmicFamily, t: np.ndarray) -> np.ndarray:
+    s = model.exponent
+    try:
+        scale = model.coupling * model.cutoff**2 * math.gamma(s + 1.0)
+    except OverflowError:
+        raise PhysicalityError(
+            f"exponent {s:g} is too large: Gamma({s + 1.0:g}) overflows"
+        ) from None
+    # (1 + i*cutoff*t)^-(s+1) on the principal branch, taken through its
+    # logarithm so that large exponents underflow to 0 instead of inf/inf.
+    log_denominator = (s + 1.0) * np.log1p(1j * model.cutoff * t)
+    return scale * np.exp(1j * model.qubit_frequency * t - log_denominator)
 
 
 def _segment_fourier(j1, j2, w1, w2, t):

@@ -13,7 +13,6 @@ from nonmarkov.amplitude import (
     lorentzian_closed_form,
     lorentzian_min_times,
     solve_volterra,
-    write_trajectory_csv,
 )
 from nonmarkov.errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
 from nonmarkov.reservoir import CorrelationSamples, Lorentzian, OhmicFamily, correlation, kappa
@@ -101,15 +100,6 @@ class TestTrajectoryType:
     def test_rejects_excursions(self):
         with pytest.raises(PhysicalityError):
             AmplitudeTrajectory(dt=0.1, values=np.array([1.0, 1.1], dtype=complex))
-
-    def test_csv_export(self, tmp_path):
-        traj = AmplitudeTrajectory(dt=0.5, values=np.array([1.0, 0.5 + 0.25j], dtype=complex))
-        path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,re_b,im_b,abs_b"
-        assert lines[1] == "0,1,0,1"
-        assert lines[2].startswith("0.5,0.5,0.25,")
 
 
 class TestSolverConfig:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nonmarkov import cli
 from nonmarkov.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
 
 
@@ -102,6 +103,60 @@ class TestSweep:
         _, parallel = run(tmp_path, *args, "--jobs", "3")
         assert serial == parallel
 
+    def test_config_settings_honoured(self, tmp_path):
+        ini = tmp_path / "detuned.ini"
+        ini.write_text("[model]\ndetuning = 0.3\n[solver]\nmethod = volterra\nt_max = 40\n")
+        args = ["sweep", "--width-from", "1", "--width-to", "1.5", "--steps", "2"]
+        _, serial = run(tmp_path, *args, "--config", str(ini), "--jobs", "1")
+        _, parallel = run(tmp_path, *args, "--config", str(ini), "--jobs", "2")
+        _, resonant = run(tmp_path, *args, "--t-max", "40")
+        assert serial == parallel
+        detuned_totals = [float(row.split(",")[3]) for row in serial.splitlines()[1:]]
+        resonant_totals = [float(row.split(",")[3]) for row in resonant.splitlines()[1:]]
+        assert detuned_totals == [0.0, 0.0]
+        # q/(1 - q) with q = exp(-pi * width / kappa)
+        assert resonant_totals == pytest.approx([0.0451657, 0.0043523], rel=1e-4)
+
+    def test_non_lorentzian_model_rejected(self, tmp_path):
+        ini = tmp_path / "ohmic.ini"
+        ini.write_text(
+            "[model]\ntype = ohmic\ncoupling = 0.2\nexponent = 1.0\ncutoff = 2.0\n"
+            "qubit_frequency = 5.0\n\n[solver]\nt_max = 5.0\n"
+        )
+        code, _ = run(tmp_path, "sweep", "--width-from", "1", "--width-to", "2",
+                      "--steps", "2", "--config", str(ini))
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "jobs, steps, cpus, expected",
+        [(8, 2, 3, [2]), (8, 5, 3, [3]), (2, 5, 3, [2]), (8, 5, 1, []), (8, 5, None, [])],
+    )
+    def test_worker_count_capped(self, tmp_path, monkeypatch, jobs, steps, cpus, expected):
+        created = []
+
+        class RecordingPool:
+            """Runs the points in this process and records the requested size."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, text = run(tmp_path, "sweep", "--width-from", "5", "--width-to", "10",
+                         "--steps", str(steps), "--jobs", str(jobs))
+        assert code == EXIT_OK
+        assert len(text.splitlines()) == steps + 1
+        assert created == expected
+
     def test_step_floor(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--width-from", "0.1", "--width-to", "1.0",
                       "--steps", "1")
@@ -150,6 +205,29 @@ class TestConfigHandling:
         ini.write_text("[model]\nwidth_ratio = 0.5\nunknown_knob = 3\n")
         code, _ = run(tmp_path, "measure", "--config", str(ini))
         assert code == EXIT_CONFIG
+
+    def test_removed_tolerance_key_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "old.ini"
+        ini.write_text("[solver]\ntolerance = 1e-6\n")
+        code, _ = run(tmp_path, "measure", "--config", str(ini))
+        assert code == EXIT_CONFIG
+        assert "unknown key 'tolerance' in section [solver]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [("[run]\nseed = abc\n", "seed = 'abc' is not an integer"),
+         ("[model]\nwidth_ratio = wide\n", "width_ratio = 'wide' is not a number"),
+         ("seed = 42\n", "no section headers"),
+         ("[run]\nseed = 5%\n", "cannot parse config file")],
+    )
+    def test_unparsable_file_is_one_line_config_error(self, tmp_path, capsys, text, fragment):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        code, _ = run(tmp_path, "verify", "--config", str(ini))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert fragment in err
+        assert err.count("\n") == 1 and err.startswith("nonmarkov: config error:")
 
     def test_unknown_section_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
@@ -227,3 +305,13 @@ class TestOhmicEndToEnd:
         rows = text.splitlines()
         assert rows[1].startswith("0,1,0,1,")
         assert len(rows) == 502
+
+    def test_gamma_overflow_is_config_error(self, tmp_path, capsys):
+        ini = tmp_path / "ohmic.ini"
+        ini.write_text(
+            "[model]\ntype = ohmic\ncoupling = 0.2\nexponent = 200\ncutoff = 2.0\n"
+            "qubit_frequency = 5.0\n\n[solver]\nmethod = volterra\ndt = 0.01\nt_max = 1.0\n"
+        )
+        code, _ = run(tmp_path, "simulate", "--config", str(ini))
+        assert code == EXIT_CONFIG
+        assert "overflows" in capsys.readouterr().err

@@ -269,6 +269,7 @@ class TestVerifyTheorem:
         traj = lorentzian_trajectory(0.1, t_max=60.0)
         report = verify_theorem(traj, samples=500, seed=42, bound_scale=0.9)
         assert not report.ok
+        assert report.canonical_error == pytest.approx(0.1 * np.max(np.abs(traj.values)))
         assert report.violations > 0
         assert report.worst_pair is not None
 
@@ -282,6 +283,24 @@ class TestVerifyTheorem:
         alpha, beta, mu, nu = sample_state_pairs(5000, 3)
         assert np.all(np.abs(beta) ** 2 <= alpha * (1 - alpha) + 1e-12)
         assert np.all(np.abs(nu) ** 2 <= mu * (1 - mu) + 1e-12)
+
+
+def full_grid_best(b_traj, density):
+    """Reference pair search scoring the whole 4-d grid at once."""
+    intervals = find_extrema(optimal_distance_trajectory(b_traj))
+    level = np.linspace(0.0, 1.0, density)
+    radius = np.linspace(-1.0, 1.0, density)
+    al, rb, mu, rn = np.meshgrid(level, radius, level, radius, indexing="ij")
+    beta = rb * np.sqrt(al * (1.0 - al))
+    nu = rn * np.sqrt(mu * (1.0 - mu))
+    a2 = (al - mu) ** 2
+    b2 = (beta - nu) ** 2
+    score = np.zeros_like(a2)
+    for iv in intervals:
+        hi, lo = iv.value_at_max, iv.value_at_min
+        score += hi * np.sqrt(hi * hi * a2 + b2) - lo * np.sqrt(lo * lo * a2 + b2)
+    idx = np.unravel_index(int(np.argmax(score)), score.shape)
+    return (float(level[idx[0]]), complex(beta[idx]), float(level[idx[2]]), complex(nu[idx]))
 
 
 class TestBruteForce:
@@ -300,6 +319,17 @@ class TestBruteForce:
         traj = lorentzian_trajectory(10.0, t_max=20.0)
         result = brute_force_max(traj, grid_density=5)
         assert result.best_total == 0.0
+
+    @pytest.mark.parametrize("width", [0.1, 0.5, 10.0])
+    @pytest.mark.parametrize("density", [3, 4, 5, 8])
+    def test_matches_full_grid_search(self, width, density):
+        # Every grid has ties: the score is symmetric under swapping the two
+        # states and under flipping both coherences, and a Markovian signal
+        # scores 0 everywhere. The first index in C order must win.
+        traj = lorentzian_trajectory(width, t_max=20.0 if width > 2 else 60.0)
+        pair = brute_force_max(traj, grid_density=density).best_pair
+        got = (pair.first.alpha, pair.first.beta, pair.second.alpha, pair.second.beta)
+        assert got == full_grid_best(traj, density)
 
     def test_grid_density_floor(self):
         traj = lorentzian_trajectory(0.5, t_max=60.0)

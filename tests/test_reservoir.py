@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
-from nonmarkov.errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
+from nonmarkov.errors import PhysicalityError, UnsupportedModelError
 from nonmarkov.reservoir import (
     CorrelationSamples,
     Lorentzian,
@@ -128,6 +128,25 @@ class TestLorentzianCorrelation:
             assert abs(f.values[0].imag) < 1e-10
 
 
+def ohmic_quad(model, t):
+    """f(t) by adaptive quadrature of J(w) e^{i(w0-w)t} over [0, 60*cutoff].
+
+    J has decayed by e^-60 at the upper limit; QAWO handles the oscillatory
+    weight for t > 0. The absolute target sits far below the smallest |f|
+    compared (about 6e-11) without asking for accuracy roundoff forbids.
+    """
+    def j(w):
+        return spectral_density(model, w)
+
+    top = 60.0 * model.cutoff
+    opts = dict(epsabs=1e-20, epsrel=1e-10, limit=400)
+    if t == 0.0:
+        return integrate.quad(j, 0.0, top, **opts)[0] + 0j
+    re = integrate.quad(j, 0.0, top, weight="cos", wvar=t, **opts)[0]
+    im = integrate.quad(j, 0.0, top, weight="sin", wvar=t, **opts)[0]
+    return np.exp(1j * model.qubit_frequency * t) * (re - 1j * im)
+
+
 class TestOhmicCorrelation:
     @pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0])
     def test_matches_gamma_closed_form(self, exponent):
@@ -150,10 +169,28 @@ class TestOhmicCorrelation:
         f = correlation(model, dt=0.1, n=5)
         assert abs(f.values[0].imag) < 1e-10
 
-    def test_nonconvergence_raises(self):
-        model = OhmicFamily(coupling=0.1, exponent=0.5, cutoff=2.0, qubit_frequency=5.0)
-        with pytest.raises(NumericalFailureError):
-            correlation(model, dt=0.05, n=50, rel_tol=1e-16)
+    @pytest.mark.parametrize("exponent", [0.5, 1.0, 2.0])
+    def test_matches_independent_quadrature(self, exponent):
+        model = OhmicFamily(coupling=0.1, exponent=exponent, cutoff=2.0, qubit_frequency=5.0)
+        dt = 0.37
+        f = correlation(model, dt, 60)
+        for i in (0, 1, 5, 17, 59):
+            got = f.values[i]
+            assert abs(got - ohmic_quad(model, i * dt)) <= 1e-8 * abs(got)
+
+    def test_long_horizon(self):
+        # 40k inverse cutoffs: f stays finite and exact deep in its t^-(s+1) tail.
+        model = OhmicFamily(coupling=0.1, exponent=1.0, cutoff=1.0, qubit_frequency=1.0)
+        f = correlation(model, dt=1.0, n=40001)
+        assert np.isfinite(f.values).all()
+        for i in (3, 250, 40000):
+            got = f.values[i]
+            assert abs(got - ohmic_quad(model, float(i))) <= 1e-8 * abs(got)
+
+    def test_gamma_overflow_rejected(self):
+        model = OhmicFamily(coupling=0.1, exponent=200.0, cutoff=1.0, qubit_frequency=1.0)
+        with pytest.raises(PhysicalityError, match="overflows"):
+            correlation(model, dt=0.1, n=5)
 
 
 class TestTabulatedCorrelation:
