@@ -8,8 +8,10 @@ Volterra equation
 
 is integrated with implicit trapezoidal product integration (the fully
 converged corrector, second order overall) plus Gregory end corrections on
-the history integral. The history convolution is direct O(N^2) summation
-via BLAS dot products.
+the history integral. The scheme is linear with a Toeplitz history sum, so
+all steps are solved at once as one power-series division, by Newton
+doubling with FFT products: O(N log N) in the step count, with no loop
+over steps.
 """
 
 from __future__ import annotations
@@ -159,9 +161,21 @@ def default_horizon(gamma0: float, width: float) -> float:
 def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTrajectory:
     """Integrate the memory-kernel equation for b(t) on cfg's grid.
 
-    Implicit trapezoidal product integration: the corrector equation is
-    linear in b[k] and solved exactly each step. Aborts with a numerical
-    failure if |b| leaves the unit disk by more than the instability slack.
+    Implicit trapezoid in time with the Gregory-weighted history sum
+    (weights 5/12, 13/12, 1, ..., 1, 13/12, 5/12). With F(z) = sum f_k z^k,
+    h = dt^2/2 and T = F - 7 f0/12 + f1 z/12, the scheme is exactly the
+    power-series equation P(z) B(z) = R(z) with
+
+        P = (1 - z) + h (1 + z) T,
+        R = 1 + h (1 + z) (7F/12 - b1 z F/12 - f0/6),
+
+    where b1 is the first (plain trapezoid) step. The solver divides R by P
+    for W = B - 1/(1 - z), the series of b[k] - 1, so that a vanishing
+    kernel gives b = 1 exactly. 1/P comes from Newton doubling with FFT
+    products (Brent & Kung, J. ACM 25 (1978) 581); each doubling also yields
+    the next block of b, O(N log N) in all. Aborts with a numerical failure
+    at the first step where |b| leaves the unit disk by more than the
+    instability slack.
     """
     if abs(f.dt - cfg.dt) > 1e-12 * cfg.dt:
         raise PhysicalityError(f"correlation sampled at dt={f.dt}, solver wants {cfg.dt}")
@@ -171,36 +185,68 @@ def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTraject
             f"correlation has {f.values.size} samples, need {n + 1} to cover t_max"
         )
     dt = cfg.dt
+    h = 0.5 * dt * dt
     fv = f.values[: n + 1]
-    frev = fv[::-1].copy()  # frev[i] = f[n - i]; forward slices stay contiguous
+    f0, f1 = fv[0], fv[1]
+    b1 = (1.0 - 0.5 * h * f1) / (1.0 + 0.5 * h * f0)
+    fg = fv.copy()  # T: F with the Gregory end weights folded in
+    fg[0] -= 7.0 * f0 / 12.0
+    fg[1] += f1 / 12.0
+    p = _times_one_plus_z(h * fg)
+    p[0] += 1.0
+    p[1] -= 1.0
+    # P W = R - P/(1 - z) = h (1 + z) (7F/12 - b1 z F/12 - f0/6 - T/(1 - z)).
+    rhs = np.cumsum(fg)
+    rhs *= -1.0
+    rhs += 7.0 / 12.0 * fv
+    rhs[1:] -= b1 / 12.0 * fv[:-1]
+    rhs[0] = 0.0  # 7f0/12 - f0/6 - 5f0/12: zero, so W starts at 0
+    s = _times_one_plus_z(h * rhs)
+    del fg, rhs
+
+    q = np.empty(n + 1, dtype=complex)  # 1/P, one doubling at a time
     b = np.empty(n + 1, dtype=complex)
+    q[0] = 1.0 / p[0]
     b[0] = 1.0
-    bprime = 0.0 + 0.0j  # b'(0): the memory integral vanishes at t = 0
     limit = 1.0 + constants.AMPLITUDE_INSTABILITY_SLACK
-    for k in range(1, n + 1):
-        # Trapezoidal history sum without the j = k endpoint:
-        # S = f[k] b[0]/2 + sum_{j=1}^{k-1} f[k-j] b[j]
-        s = 0.5 * fv[k] * b[0]
-        if k > 1:
-            s += np.dot(frev[n - k + 1 : n], b[1:k])
-        if k >= 2:
-            # Gregory end correction -dt/12 (grad_n - delta_0) on the history
-            # integral; kills the O(dt^2) endpoint error that otherwise
-            # dominates for wide (stiff) spectra.
-            c0 = 5.0 / 12.0
-            g = s + (fv[1] * b[k - 1] + fv[k - 1] * b[1] - fv[k] * b[0]) / 12.0
-        else:
-            c0 = 0.5
-            g = s
-        bk = (b[k - 1] + 0.5 * dt * (bprime - dt * g)) / (1.0 + 0.5 * dt * dt * c0 * fv[0])
-        if abs(bk) > limit:
+    lo = 1
+    while lo <= n:
+        hi = min(2 * lo, n + 1)
+        m = hi - lo
+        size = 1 << (hi - 1).bit_length()  # cyclic length; no product wraps into [lo, hi)
+        fq = np.fft.fft(q[:lo], size)
+        # Residual of P Q = 1 on [lo, hi); Newton: q[lo:hi] = -(Q residual)[:m].
+        acc = np.fft.fft(p[:hi], size)
+        acc *= fq
+        acc = np.fft.fft(np.fft.ifft(acc)[lo:hi], size)
+        acc *= fq if m == lo else np.fft.fft(q[:m], size)
+        q[lo:hi] = -np.fft.ifft(acc)[:m]
+        # W on [lo, hi): old Q against S[:hi], the new block against S[:m].
+        acc = np.fft.fft(s[:hi], size)
+        acc *= fq
+        block = np.zeros(size, dtype=complex)
+        block[lo:hi] = q[lo:hi]
+        block = np.fft.fft(block)
+        block *= np.fft.fft(s[:m], size)
+        acc += block
+        del block
+        b[lo:hi] = np.fft.ifft(acc)[lo:hi]
+        b[lo:hi] += 1.0
+        over = np.flatnonzero(np.abs(b[lo:hi]) > limit)
+        if over.size:
+            k = lo + int(over[0])
             raise NumericalFailureError(
-                f"|b({k * dt:g})| = {abs(bk):.6f} exceeds 1 + {constants.AMPLITUDE_INSTABILITY_SLACK:g}; "
+                f"|b({k * dt:g})| = {abs(b[k]):.6f} exceeds 1 + {constants.AMPLITUDE_INSTABILITY_SLACK:g}; "
                 "reduce dt"
             )
-        b[k] = bk
-        bprime = -dt * (g + c0 * fv[0] * bk)
+        lo = hi
     return AmplitudeTrajectory(dt=dt, values=b)
+
+
+def _times_one_plus_z(a: np.ndarray) -> np.ndarray:
+    """Coefficients of (1 + z) a(z), truncated to len(a); overwrites a."""
+    a[1:] += a[:-1].copy()
+    return a
 
 
 def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTrajectory:

@@ -37,8 +37,6 @@ from .measure import (
 )
 from .reservoir import Lorentzian, OhmicFamily, classify_regime, kappa, load_tabulated
 
-log = logging.getLogger("nonmarkov")
-
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
@@ -201,8 +199,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+def _fmt(x: float | None) -> str:
+    return "" if x is None else f"{x:.12g}"
 
 
 @contextmanager
@@ -254,7 +252,8 @@ def _measure_bundle(cfg: RunConfig) -> dict:
         "n_eg": n_eg.to_dict(),
         "n_two_lower": n_two.to_dict(),
     }
-    if isinstance(model, Lorentzian):
+    # Regime and kappa describe the resonant closed form; detuning has none.
+    if isinstance(model, Lorentzian) and model.detuning == 0.0:
         bundle["regime"] = classify_regime(model).value
         bundle["kappa"] = kappa(model)
     return bundle
@@ -301,7 +300,7 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
     lines = ["width_ratio,kappa,regime,n_single,n_eg,n_two_lower"]
     for ratio, kap, regime, n_s, n_eg, n_two in rows:
         lines.append(
-            f"{_fmt(ratio)},{_fmt(kap)},{regime},{_fmt(n_s)},{_fmt(n_eg)},{_fmt(n_two)}"
+            f"{_fmt(ratio)},{_fmt(kap)},{regime or ''},{_fmt(n_s)},{_fmt(n_eg)},{_fmt(n_two)}"
         )
     _write(out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -383,11 +382,9 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, args, args.out)
         return cmd_verify(cfg, args, args.out)
     except (ConfigError, PhysicalityError, UnsupportedModelError) as exc:
-        log.error("%s", exc)
         print(f"nonmarkov: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:
-        log.error("%s", exc)
         print(f"nonmarkov: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nonmarkov import constants
 from nonmarkov.amplitude import (
     AmplitudeTrajectory,
     Method,
@@ -15,7 +16,65 @@ from nonmarkov.amplitude import (
     solve_volterra,
 )
 from nonmarkov.errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
-from nonmarkov.reservoir import CorrelationSamples, Lorentzian, OhmicFamily, correlation, kappa
+from nonmarkov.reservoir import (
+    CorrelationSamples,
+    Lorentzian,
+    OhmicFamily,
+    Tabulated,
+    correlation,
+    kappa,
+)
+
+
+def reference_volterra(f, cfg):
+    """The scheme as a step loop: one history dot product per step, O(N^2).
+
+    Same discretisation as `solve_volterra` (implicit trapezoid, Gregory end
+    weights), written step by step as the oracle for the series solver.
+    """
+    n, dt = cfg.steps, cfg.dt
+    fv = f.values[: n + 1]
+    frev = fv[::-1].copy()  # frev[i] = f[n - i]; forward slices stay contiguous
+    b = np.empty(n + 1, dtype=complex)
+    b[0] = 1.0
+    bprime = 0.0 + 0.0j  # b'(0): the memory integral vanishes at t = 0
+    limit = 1.0 + constants.AMPLITUDE_INSTABILITY_SLACK
+    for k in range(1, n + 1):
+        # Trapezoidal history sum without the j = k endpoint:
+        # S = f[k] b[0]/2 + sum_{j=1}^{k-1} f[k-j] b[j]
+        s = 0.5 * fv[k] * b[0]
+        if k > 1:
+            s += np.dot(frev[n - k + 1 : n], b[1:k])
+        if k >= 2:
+            # Gregory end correction -dt/12 (grad_n - delta_0) on the history
+            # integral; kills the O(dt^2) endpoint error that otherwise
+            # dominates for wide (stiff) spectra.
+            c0 = 5.0 / 12.0
+            g = s + (fv[1] * b[k - 1] + fv[k - 1] * b[1] - fv[k] * b[0]) / 12.0
+        else:
+            c0 = 0.5
+            g = s
+        bk = (b[k - 1] + 0.5 * dt * (bprime - dt * g)) / (1.0 + 0.5 * dt * dt * c0 * fv[0])
+        if abs(bk) > limit:
+            raise NumericalFailureError(f"|b({k * dt:g})| = {abs(bk):.6f}")
+        b[k] = bk
+        bprime = -dt * (g + c0 * fv[0] * bk)
+    return b
+
+
+def _gaussian_table():
+    w = np.linspace(1.0, 9.0, 1000)
+    return Tabulated(points=np.column_stack([w, 0.3 * np.exp(-((w - 5.0) ** 2))]),
+                     qubit_frequency=5.0)
+
+
+ORACLE_KERNELS = {
+    "resonant_0.1": (Lorentzian(1.0, 0.1), 1e-2),
+    "resonant_10": (Lorentzian(1.0, 10.0), 1e-3),
+    "detuned_0.3": (Lorentzian(1.0, 1.0, detuning=0.3), 1e-2),
+    "ohmic": (OhmicFamily(coupling=0.2, exponent=1.0, cutoff=2.0, qubit_frequency=5.0), 1e-2),
+    "gaussian_table": (_gaussian_table(), 1e-2),
+}
 
 
 class TestClosedForm:
@@ -178,8 +237,11 @@ class TestVolterra:
         values = (0.25 - 4.0 * t).astype(complex)
         f = CorrelationSamples(dt=dt, values=values)
         cfg = SolverConfig(dt=dt, t_max=dt * n, method=Method.VOLTERRA)
-        with pytest.raises(NumericalFailureError, match="reduce dt"):
+        # The first step past the slack is the one reported, as by the loop.
+        with pytest.raises(NumericalFailureError, match=r"\|b\(0\.19\)\| = 1\.000067 .*reduce dt"):
             solve_volterra(f, cfg)
+        with pytest.raises(NumericalFailureError, match=r"\|b\(0\.19\)\| = 1\.000067$"):
+            reference_volterra(f, cfg)
 
     def test_grid_mismatch_rejected(self):
         f = CorrelationSamples(dt=0.02, values=np.full(100, 0.1, dtype=complex))
@@ -192,6 +254,36 @@ class TestVolterra:
         cfg = SolverConfig(dt=0.01, t_max=0.5, method=Method.VOLTERRA)
         with pytest.raises(PhysicalityError):
             solve_volterra(f, cfg)
+
+
+class TestVolterraMatchesStepLoop:
+    @pytest.mark.parametrize("steps", [10, 1000, 4097, 6000])
+    @pytest.mark.parametrize("kernel", sorted(ORACLE_KERNELS))
+    def test_matches_reference_loop(self, kernel, steps):
+        model, dt = ORACLE_KERNELS[kernel]
+        cfg = SolverConfig(dt=dt, t_max=dt * steps, method=Method.VOLTERRA)
+        assert cfg.steps == steps
+        f = correlation(model, dt, steps + 1)
+        got = solve_volterra(f, cfg).values
+        want = reference_volterra(f, cfg)
+        assert got[0] == 1.0
+        assert np.max(np.abs(got - want)) <= 1e-11
+
+    def test_long_weakly_damped_horizon(self):
+        cfg = SolverConfig(dt=1e-3, t_max=30.0, method=Method.VOLTERRA)
+        f = correlation(Lorentzian(1.0, 0.1), cfg.dt, cfg.steps + 1)
+        got = solve_volterra(f, cfg).values
+        assert np.max(np.abs(got - reference_volterra(f, cfg))) <= 1e-11
+
+    def test_first_failing_step_matches_reference_loop(self):
+        # Far detuned at a coarse step: the scheme itself goes unstable.
+        cfg = SolverConfig(dt=0.1, t_max=10.0, method=Method.VOLTERRA)
+        f = correlation(Lorentzian(1.0, 1.0, detuning=100.0), cfg.dt, cfg.steps + 1)
+        with pytest.raises(NumericalFailureError) as want:
+            reference_volterra(f, cfg)
+        with pytest.raises(NumericalFailureError, match="reduce dt") as got:
+            solve_volterra(f, cfg)
+        assert str(got.value).startswith(str(want.value) + " exceeds")
 
 
 class TestComputeTrajectory:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli
-from nonmarkov.cli import EXIT_CONFIG, EXIT_OK, EXIT_VERIFICATION, main
+from nonmarkov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, main
 
 
 def run(tmp_path, *argv):
@@ -114,6 +114,8 @@ class TestSweep:
         detuned_totals = [float(row.split(",")[3]) for row in serial.splitlines()[1:]]
         resonant_totals = [float(row.split(",")[3]) for row in resonant.splitlines()[1:]]
         assert detuned_totals == [0.0, 0.0]
+        # Regime and kappa belong to the resonant closed form: empty when detuned.
+        assert [row.split(",")[1:3] for row in serial.splitlines()[1:]] == [["", ""], ["", ""]]
         # q/(1 - q) with q = exp(-pi * width / kappa)
         assert resonant_totals == pytest.approx([0.0451657, 0.0043523], rel=1e-4)
 
@@ -276,6 +278,17 @@ class TestEffectiveConfigRoundTrip:
         assert first == second
 
 
+class TestDetunedMeasure:
+    def test_no_resonant_regime_or_kappa(self, tmp_path):
+        ini = tmp_path / "detuned.ini"
+        ini.write_text("[model]\nwidth_ratio = 1\ndetuning = 0.3\n[solver]\nt_max = 40\n")
+        code, text = run(tmp_path, "measure", "--config", str(ini))
+        assert code == EXIT_OK
+        bundle = json.loads(text)
+        assert bundle["config"]["model"]["detuning"] == 0.3
+        assert bundle["regime"] is None and bundle["kappa"] is None
+
+
 class TestLogging:
     def test_nm_log_env_accepted(self, tmp_path):
         import os
@@ -291,6 +304,33 @@ class TestLogging:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["regime"] == "markovian"
+
+    @pytest.mark.parametrize(
+        "ini_text, argv, code, prefix",
+        [
+            ("seed = 1\n", ["verify"], EXIT_CONFIG, "nonmarkov: config error: cannot parse"),
+            # Far detuned at a coarse step, the scheme goes unstable.
+            ("[model]\ndetuning = 100\n[solver]\nmethod = volterra\ndt = 0.1\nt_max = 10\n",
+             ["measure"], EXIT_NUMERICAL, "nonmarkov: numerical failure: |b(0.2)| = "),
+        ],
+        ids=["config_error", "numerical_failure"],
+    )
+    def test_failure_is_one_stderr_line(self, tmp_path, ini_text, argv, code, prefix):
+        import os
+        import subprocess
+        import sys
+
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text)
+        env = {k: v for k, v in os.environ.items() if k != "NM_LOG"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonmarkov.cli", *argv, "--config", str(ini),
+             "--out", str(tmp_path / "out.txt")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
 
 
 class TestOhmicEndToEnd:
