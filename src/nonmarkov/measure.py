@@ -388,6 +388,33 @@ class TheoremVerification:
         return out
 
 
+# verify_theorem scans its pairs this many at a time, so its memory does not
+# grow with the sample count.
+_VERIFY_BLOCK = 1 << 16
+
+
+def _state_pair_block(samples: int, seed: int, start: int, stop: int):
+    """Pairs start .. stop-1 of `sample_state_pairs(samples, seed)`.
+
+    The six uniform arrays are consecutive blocks of one PCG64 stream, one
+    64-bit draw per double, so array i's element k is draw i*samples + k and
+    each block is reached with `advance` instead of drawing what precedes it.
+    """
+
+    def uniform(i, high=1.0):
+        bits = np.random.PCG64(seed)
+        bits.advance(i * samples + start)
+        return np.random.Generator(bits).uniform(0.0, high, size=stop - start)
+
+    alpha = uniform(0)
+    mu = uniform(1)
+    r1 = np.sqrt(alpha * (1.0 - alpha)) * np.sqrt(uniform(2))
+    th1 = uniform(3, 2.0 * np.pi)
+    r2 = np.sqrt(mu * (1.0 - mu)) * np.sqrt(uniform(4))
+    th2 = uniform(5, 2.0 * np.pi)
+    return alpha, r1 * np.exp(1j * th1), mu, r2 * np.exp(1j * th2)
+
+
 def sample_state_pairs(samples: int, seed: int):
     """Seeded random valid pairs: populations uniform, coherences uniform on
     their disk via rejection-free polar sampling (r = R*sqrt(u)).
@@ -395,14 +422,7 @@ def sample_state_pairs(samples: int, seed: int):
     Uses numpy's PCG64 generator, so identical seeds give identical pair
     sequences on every platform. Returns (alpha, beta, mu, nu) arrays.
     """
-    rng = np.random.default_rng(seed)
-    alpha = rng.uniform(size=samples)
-    mu = rng.uniform(size=samples)
-    r1 = np.sqrt(alpha * (1.0 - alpha)) * np.sqrt(rng.uniform(size=samples))
-    th1 = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-    r2 = np.sqrt(mu * (1.0 - mu)) * np.sqrt(rng.uniform(size=samples))
-    th2 = rng.uniform(0.0, 2.0 * np.pi, size=samples)
-    return alpha, r1 * np.exp(1j * th1), mu, r2 * np.exp(1j * th2)
+    return _state_pair_block(samples, seed, 0, samples)
 
 
 def verify_theorem(
@@ -410,26 +430,36 @@ def verify_theorem(
 ) -> TheoremVerification:
     """Check D(pair, b(t)) <= |b(t)| + slack on the whole grid for random pairs.
 
-    `bound_scale` deliberately weakens the bound (test hook for the
-    negative control); production use keeps it at 1.
+    The pairs of `sample_state_pairs(samples, seed)` are scanned in blocks
+    of fixed size; the reductions, including the first worst pair, are the
+    same as over the full arrays. `bound_scale` deliberately weakens the
+    bound (test hook for the negative control); production use keeps it at 1.
     """
     if samples < 1:
         raise PhysicalityError("need at least one sample")
-    alpha, beta, mu, nu = sample_state_pairs(samples, seed)
-    a2 = (alpha - mu) ** 2
-    b2 = np.abs(beta - nu) ** 2
     x = float(np.max(np.abs(b_traj.values)))
-    # D(t) - scale*|b(t)| = |b| (sqrt(|b|^2 A + B) - scale) grows with |b|
-    # wherever it is positive, so the grid maximum sits at max|b|.
-    excess = x * (np.sqrt(x * x * a2 + b2) - bound_scale)
-    ratios = np.sqrt(x * x * a2 + b2)
-    violations = int(np.sum(excess > constants.THEOREM_SLACK))
-    worst = int(np.argmax(excess))
+    violations = 0
+    max_ratio = worst_excess = -np.inf
+    worst = None
+    for start in range(0, samples, _VERIFY_BLOCK):
+        alpha, beta, mu, nu = _state_pair_block(
+            samples, seed, start, min(start + _VERIFY_BLOCK, samples)
+        )
+        # D(t) - scale*|b(t)| = |b| (sqrt(|b|^2 A + B) - scale) grows with |b|
+        # wherever it is positive, so the grid maximum sits at max|b|.
+        ratios = np.sqrt(x * x * (alpha - mu) ** 2 + np.abs(beta - nu) ** 2)
+        excess = x * (ratios - bound_scale)
+        violations += int(np.sum(excess > constants.THEOREM_SLACK))
+        max_ratio = max(max_ratio, float(np.max(ratios)))
+        k = int(np.argmax(excess))
+        if excess[k] > worst_excess:  # strict: the first worst pair wins ties
+            worst_excess = float(excess[k])
+            worst = (float(alpha[k]), complex(beta[k]), float(mu[k]), complex(nu[k]))
     worst_pair = None
     if violations:
         worst_pair = StatePair(
-            first=QubitInitialState(float(alpha[worst]), complex(beta[worst])),
-            second=QubitInitialState(float(mu[worst]), complex(nu[worst])),
+            first=QubitInitialState(worst[0], worst[1]),
+            second=QubitInitialState(worst[2], worst[3]),
         )
     # The optimal pair (A = 0, B = 1) has D(t) = |b(t)| exactly.
     canonical_error = abs(1.0 - bound_scale) * x
@@ -437,8 +467,8 @@ def verify_theorem(
         samples=samples,
         seed=seed,
         violations=violations,
-        max_ratio=float(np.max(ratios)),
-        worst_excess=float(np.max(excess)),
+        max_ratio=max_ratio,
+        worst_excess=worst_excess,
         worst_pair=worst_pair,
         canonical_error=canonical_error,
         ok=violations == 0 and canonical_error <= constants.CANONICAL_EQUALITY_TOL,

@@ -2,12 +2,15 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nonmarkov import constants, measure
 from nonmarkov.amplitude import Method, SolverConfig, compute_trajectory, default_horizon
 from nonmarkov.dynamics import (
+    QubitInitialState,
     ScalarTrajectory,
     StatePair,
     excited_state,
@@ -18,6 +21,7 @@ from nonmarkov.dynamics import (
 )
 from nonmarkov.errors import HorizonError, PhysicalityError
 from nonmarkov.measure import (
+    TheoremVerification,
     blp_from_trajectory,
     brute_force_max,
     find_extrema,
@@ -244,6 +248,45 @@ class TestMonotonicityAcrossWidths:
         assert all(eg < full for eg, full in zip(eg_totals, totals))
 
 
+def reference_state_pairs(samples, seed):
+    """The pairs drawn array after array from one generator, in one pass."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.uniform(size=samples)
+    mu = rng.uniform(size=samples)
+    r1 = np.sqrt(alpha * (1.0 - alpha)) * np.sqrt(rng.uniform(size=samples))
+    th1 = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+    r2 = np.sqrt(mu * (1.0 - mu)) * np.sqrt(rng.uniform(size=samples))
+    th2 = rng.uniform(0.0, 2.0 * np.pi, size=samples)
+    return alpha, r1 * np.exp(1j * th1), mu, r2 * np.exp(1j * th2)
+
+
+def reference_verify(b_traj, samples, seed, bound_scale=1.0):
+    """`verify_theorem` over the full arrays at once, the oracle for its blocked scan."""
+    alpha, beta, mu, nu = reference_state_pairs(samples, seed)
+    x = float(np.max(np.abs(b_traj.values)))
+    ratios = np.sqrt(x * x * (alpha - mu) ** 2 + np.abs(beta - nu) ** 2)
+    excess = x * (ratios - bound_scale)
+    violations = int(np.sum(excess > constants.THEOREM_SLACK))
+    worst = int(np.argmax(excess))
+    worst_pair = None
+    if violations:
+        worst_pair = StatePair(
+            first=QubitInitialState(float(alpha[worst]), complex(beta[worst])),
+            second=QubitInitialState(float(mu[worst]), complex(nu[worst])),
+        )
+    canonical_error = abs(1.0 - bound_scale) * x
+    return TheoremVerification(
+        samples=samples,
+        seed=seed,
+        violations=violations,
+        max_ratio=float(np.max(ratios)),
+        worst_excess=float(np.max(excess)),
+        worst_pair=worst_pair,
+        canonical_error=canonical_error,
+        ok=violations == 0 and canonical_error <= constants.CANONICAL_EQUALITY_TOL,
+    )
+
+
 class TestVerifyTheorem:
     def test_canonical_pair_exact(self):
         traj = lorentzian_trajectory(0.1, t_max=60.0)
@@ -283,6 +326,38 @@ class TestVerifyTheorem:
         alpha, beta, mu, nu = sample_state_pairs(5000, 3)
         assert np.all(np.abs(beta) ** 2 <= alpha * (1 - alpha) + 1e-12)
         assert np.all(np.abs(nu) ** 2 <= mu * (1 - mu) + 1e-12)
+
+    def test_sampler_matches_one_pass(self):
+        got = sample_state_pairs(1000, 11)
+        for a, b in zip(got, reference_state_pairs(1000, 11)):
+            assert np.array_equal(a, b)
+        block = measure._state_pair_block(1000, 11, 300, 701)
+        for a, b in zip(block, got):
+            assert np.array_equal(a, b[300:701])
+
+    @pytest.mark.parametrize("block", [7, 64, 1000])
+    @pytest.mark.parametrize("bound_scale", [1.0, 0.9])
+    def test_blocked_scan_matches_full_arrays(self, monkeypatch, block, bound_scale):
+        # 0.9 gives violations, so the first worst pair across blocks is compared too.
+        monkeypatch.setattr(measure, "_VERIFY_BLOCK", block)
+        traj = lorentzian_trajectory(0.1, t_max=60.0)
+        got = verify_theorem(traj, samples=1000, seed=42, bound_scale=bound_scale)
+        assert got == reference_verify(traj, 1000, 42, bound_scale)
+        assert (got.worst_pair is not None) == (bound_scale < 1.0)
+
+    def test_memory_does_not_grow_with_samples(self):
+        traj = lorentzian_trajectory(0.5, t_max=60.0)
+        peaks = []
+        for samples in (200_000, 800_000):
+            tracemalloc.start()
+            try:
+                verify_theorem(traj, samples=samples, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Full arrays would take about 12 x 8 bytes per pair: 19 MB, then 77 MB.
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[1] < 16 * 2**20
 
 
 def full_grid_best(b_traj, density):

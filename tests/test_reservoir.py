@@ -1,5 +1,8 @@
 """Tests for spectral models, regime classification, and correlation functions."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -193,6 +196,79 @@ class TestOhmicCorrelation:
             correlation(model, dt=0.1, n=5)
 
 
+def reference_tabulated(model, t):
+    """The exact integral segment by segment, one Python step per segment.
+
+    Each segment's integral of the linear interpolant times exp(-i w t) is
+    taken in closed form, with a cubic series where the phase is below
+    1e-4. This is the loop the node sum replaced, kept as its oracle.
+    """
+
+    def segment(j1, j2, w1, w2):
+        length = w2 - w1
+        slope = (j2 - j1) / length
+        phase = length * t
+        z = -1j * phase
+        small = np.abs(phase) < 1e-4
+        with np.errstate(divide="ignore", invalid="ignore"):
+            it = 1j * t
+            e = np.exp(z)
+            e0 = np.where(small, length * (1.0 + z / 2.0 + z**2 / 6.0 + z**3 / 24.0),
+                          np.divide(1.0 - e, it, out=np.full(t.shape, length + 0j), where=~small))
+            e1 = np.where(
+                small,
+                length**2 * (0.5 + z / 3.0 + z**2 / 8.0 + z**3 / 30.0),
+                np.divide(e0 - length * e, it, out=np.full(t.shape, 0.5 * length**2 + 0j), where=~small),
+            )
+        return np.exp(-1j * w1 * t) * (j1 * e0 + slope * e1)
+
+    w = model.points[:, 0]
+    j = model.points[:, 1]
+    total = np.zeros(t.shape, dtype=complex)
+    for k in range(w.size - 1):
+        if j[k] == 0.0 and j[k + 1] == 0.0:
+            continue
+        total += segment(j[k], j[k + 1], w[k], w[k + 1])
+    return np.exp(1j * model.qubit_frequency * t) * total
+
+
+def quad_tabulated(model, t):
+    """f(t) by adaptive quadrature of the interpolant, one segment at a time.
+
+    Integrates J(w0 + x) [cos(x t) - i sin(x t)] over x = w - w0, so the
+    phase is measured from the qubit frequency as in the library.
+    """
+    x = model.points[:, 0] - model.qubit_frequency
+    j = model.points[:, 1]
+    re = im = 0.0
+    for k in range(x.size - 1):
+        def interp(u, k=k):
+            return j[k] + (j[k + 1] - j[k]) * (u - x[k]) / (x[k + 1] - x[k])
+
+        opts = dict(epsabs=1e-14, epsrel=1e-12, limit=200)
+        re += integrate.quad(lambda u: interp(u) * math.cos(u * t), x[k], x[k + 1], **opts)[0]
+        im -= integrate.quad(lambda u: interp(u) * math.sin(u * t), x[k], x[k + 1], **opts)[0]
+    return complex(re, im)
+
+
+FOUR_POINTS = np.array([[0.5, 0.0], [1.0, 0.4], [1.8, 0.25], [3.0, 0.0]])
+
+
+def benchmark_gaussian_table():
+    """1000 points over [0, 200] of a Gaussian of weight 7.5 and width 3 at w0 = 100."""
+    w = np.linspace(0.0, 200.0, 1000)
+    j = 7.5 / (math.sqrt(2.0 * math.pi) * 3.0) * np.exp(-0.5 * ((w - 100.0) / 3.0) ** 2)
+    return Tabulated(points=np.column_stack([w, j]), qubit_frequency=100.0)
+
+
+def ragged_table():
+    """300 seeded random values on uneven spacing, w0 at the 150th node."""
+    rng = np.random.default_rng(17)
+    w = 1.0 + np.cumsum(rng.uniform(0.001, 0.05, size=300))
+    j = rng.uniform(0.0, 1.0, size=300)
+    return Tabulated(points=np.column_stack([w, j]), qubit_frequency=float(w[150]))
+
+
 class TestTabulatedCorrelation:
     def test_narrow_peak_gives_flat_correlation(self):
         w0 = 5.0
@@ -205,7 +281,7 @@ class TestTabulatedCorrelation:
         assert abs(f.values[0].imag) < 1e-10
 
     def test_matches_scipy_quadrature(self):
-        pts = np.array([[0.5, 0.0], [1.0, 0.4], [1.8, 0.25], [3.0, 0.0]])
+        pts = FOUR_POINTS
         model = Tabulated(points=pts, qubit_frequency=1.2)
 
         def j_interp(w):
@@ -222,6 +298,69 @@ class TestTabulatedCorrelation:
                 0.5, 3.0, points=pts[:, 0], limit=200,
             )
             assert f.values[i] == pytest.approx(re + 1j * im, abs=1e-9)
+
+    @pytest.mark.parametrize("table", [benchmark_gaussian_table, ragged_table])
+    def test_matches_reference_loop(self, table):
+        model = table()
+        f = correlation(model, dt=1e-3, n=10001)
+        ref = reference_tabulated(model, 1e-3 * np.arange(10001))
+        assert np.max(np.abs(f.values - ref)) <= 1e-10 * abs(ref[0])
+
+    def test_small_times_match_quadrature(self):
+        # y_m = x_m t is far below 1 here: the terms 1 - cos y and y - sin y
+        # must not come from cancelling differences.
+        model = Tabulated(points=FOUR_POINTS, qubit_frequency=1.2)
+        f = correlation(model, dt=1e-4, n=101)
+        for i in (1, 10, 100):
+            assert abs(f.values[i] - quad_tabulated(model, i * 1e-4)) <= 1e-11 * abs(f.values[0])
+
+    @pytest.mark.parametrize(
+        "points, w0",
+        [
+            # a kink exactly at the qubit frequency: its y_m is 0 at every t
+            (np.array([[0.5, 0.0], [1.2, 0.6], [2.0, 0.1], [2.5, 0.0]]), 1.2),
+            # hard edges: J is nonzero at both ends of the table
+            (np.array([[0.8, 0.3], [1.1, 0.5], [1.6, 0.2]]), 1.0),
+            (np.array([[0.8, 0.3], [1.6, 0.7]]), 1.6),
+        ],
+        ids=["node_at_w0", "hard_edges", "hard_edges_node_at_w0"],
+    )
+    def test_matches_quadrature(self, points, w0):
+        model = Tabulated(points=points, qubit_frequency=w0)
+        dt = 0.37
+        f = correlation(model, dt=dt, n=30)
+        assert f.values[0].imag == 0.0
+        for i in (0, 1, 4, 13, 29):
+            assert abs(f.values[i] - quad_tabulated(model, i * dt)) <= 1e-11 * abs(f.values[0])
+
+    def test_all_zero_table(self):
+        model = Tabulated(points=np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]), qubit_frequency=2.0)
+        f = correlation(model, dt=0.1, n=20)
+        assert np.array_equal(f.values, np.zeros(20))
+
+    def test_zero_outer_segments_change_nothing(self):
+        # The nodes of J's zero stretches carry no slope jump and are skipped;
+        # the nodes where J leaves and rejoins zero must be kept.
+        w = np.linspace(0.0, 6.0, 13)
+        j = np.array([0, 0, 0, 0, 0.2, 0.5, 0.4, 0.45, 0.1, 0, 0, 0, 0])
+        trimmed = slice(3, 10)
+        full = correlation(Tabulated(np.column_stack([w, j]), 2.6), dt=0.05, n=400).values
+        span = correlation(Tabulated(np.column_stack([w[trimmed], j[trimmed]]), 2.6), dt=0.05, n=400).values
+        assert np.max(np.abs(full - span)) <= 1e-14 * abs(full[0])
+
+    def test_memory_bounded(self):
+        # About 19k nodes of this 200k-point table carry curvature: unblocked,
+        # one 128-sample row of the node sum alone would be 19 MiB.
+        w = np.linspace(0.0, 200.0, 200_000)
+        j = np.exp(-0.5 * ((w - 100.0) / 0.25) ** 2)
+        model = Tabulated(points=np.column_stack([w, j]), qubit_frequency=100.0)
+        tracemalloc.start()
+        try:
+            correlation(model, dt=1e-2, n=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_zero_outside_table(self):
         pts = np.array([[1.0, 0.2], [2.0, 0.2]])
