@@ -23,7 +23,7 @@ import numpy as np
 
 from . import constants
 from .errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
-from .reservoir import CorrelationSamples, Lorentzian, Regime, SpectralModel, classify_regime, correlation, kappa
+from .reservoir import CorrelationSamples, Lorentzian, Regime, SpectralModel, classify_regime, correlation, is_resonant, kappa
 
 
 class Method(enum.Enum):
@@ -253,7 +253,7 @@ def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTraj
     """Produce b(t) for a spectral model using the configured method."""
     n = cfg.steps
     if cfg.method is Method.CLOSED_FORM:
-        if not isinstance(model, Lorentzian) or model.detuning != 0.0:
+        if not is_resonant(model):
             raise UnsupportedModelError(
                 "the closed-form path covers the resonant Lorentzian only; "
                 "use the Volterra method for this model"
@@ -263,8 +263,7 @@ def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTraj
         return AmplitudeTrajectory(dt=cfg.dt, values=values, lorentzian=model)
     f = correlation(model, cfg.dt, n + 1)
     traj = solve_volterra(f, cfg)
-    meta = model if isinstance(model, Lorentzian) and model.detuning == 0.0 else None
-    if meta is not None:
-        traj = AmplitudeTrajectory(dt=traj.dt, values=traj.values, lorentzian=meta)
+    if is_resonant(model):
+        traj = AmplitudeTrajectory(dt=traj.dt, values=traj.values, lorentzian=model)
     return traj
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,12 +22,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import constants
-from .amplitude import Method, SolverConfig, compute_trajectory, default_horizon
+from .amplitude import AmplitudeTrajectory, Method, SolverConfig, compute_trajectory, default_horizon
 from .dynamics import (
     StatePair,
+    concurrence_bell,
     excited_state,
     ground_state,
+    optimal_distance_trajectory,
     pair_distance_trajectory,
+    trace_distance_two,
 )
 from .errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
 from .measure import (
@@ -35,7 +39,7 @@ from .measure import (
     nonmarkovianity_single,
     verify_theorem,
 )
-from .reservoir import Lorentzian, OhmicFamily, classify_regime, kappa, load_tabulated
+from .reservoir import Lorentzian, OhmicFamily, is_resonant, load_tabulated
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -98,13 +102,15 @@ class RunConfig:
         if self.model_type == "tabulated":
             if self.table is None or self.qubit_frequency is None:
                 raise ConfigError("tabulated model needs 'table' and 'qubit_frequency'")
-            return load_tabulated(self.table, self.qubit_frequency)
+            try:
+                return load_tabulated(self.table, self.qubit_frequency)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"table {self.table!r}: {exc}") from None
         raise ConfigError(f"unknown model type {self.model_type!r}")
 
     def build_solver(self, model) -> SolverConfig:
         if self.method == "auto":
-            resonant = isinstance(model, Lorentzian) and model.detuning == 0.0
-            method = Method.CLOSED_FORM if resonant else Method.VOLTERRA
+            method = Method.CLOSED_FORM if is_resonant(model) else Method.VOLTERRA
         elif self.method in ("closed_form", "volterra"):
             method = Method(self.method)
         else:
@@ -116,6 +122,10 @@ class RunConfig:
             else:
                 raise ConfigError("t_max has no automatic rule for this model; pass --t-max")
         return SolverConfig(dt=self.dt, t_max=t_max, method=method)
+
+    def trajectory(self) -> AmplitudeTrajectory:
+        model = self.build_model()
+        return compute_trajectory(model, self.build_solver(model))
 
     def effective(self) -> dict:
         out = {
@@ -135,8 +145,6 @@ class RunConfig:
         return out
 
 
-_FLOAT_KEYS = {"gamma0", "width_ratio", "detuning", "coupling", "exponent", "cutoff",
-               "qubit_frequency", "dt", "t_max", "min_tolerance"}
 _INT_KEYS = {"seed", "samples", "jobs"}
 _STR_KEYS = {"type": "model_type", "method": "method", "table": "table"}
 
@@ -178,22 +186,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
-    overrides = {
-        "width_ratio": getattr(args, "width_ratio", None),
-        "dt": getattr(args, "dt", None),
-        "t_max": getattr(args, "t_max", None),
-        "seed": getattr(args, "seed", None),
-        "samples": getattr(args, "samples", None),
-        "jobs": getattr(args, "jobs", None),
-        "min_tolerance": getattr(args, "min_tolerance", None),
-    }
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    # Each subcommand defines only the flags it reads; the rest are absent.
+    for key in ("width_ratio", "dt", "t_max", "seed", "samples", "jobs", "min_tolerance"):
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
     try:
         cfg = RunConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.dt <= 0:
-        raise ConfigError(f"dt must be positive, got {cfg.dt}")
+    if not 0 < cfg.dt < math.inf:
+        raise ConfigError(f"dt must be positive and finite, got {cfg.dt}")
+    if cfg.t_max is not None and not 0 < cfg.t_max < math.inf:
+        raise ConfigError(f"t_max must be positive and finite, got {cfg.t_max}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")
     return cfg
@@ -208,7 +214,11 @@ def _output(path):
     if path in (None, "-"):
         yield sys.stdout
         return
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from None
+    with fh:
         yield fh
 
 
@@ -218,45 +228,39 @@ def _write(path, text: str) -> None:
 
 
 def cmd_simulate(cfg: RunConfig, out) -> int:
-    model = cfg.build_model()
-    solver = cfg.build_solver(model)
-    traj = compute_trajectory(model, solver)
+    traj = cfg.trajectory()
     t = traj.times()
     b = traj.values
-    x = np.abs(b)
-    x2 = x * x
-    d_two = x * np.sqrt(2.0 - 2.0 * x2 + x2 * x2)
+    # d_opt is abs_b; d_eg and conc_psi are the excited population pop_e.
+    abs_b = optimal_distance_trajectory(traj).values
+    d_two = trace_distance_two(b)
+    pop, conc_phi = concurrence_bell(b)
     # Row by row: joining 386k rows first would hold the whole file in memory.
     with _output(out) as fh:
         fh.write("t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi\n")
         for i in range(b.size):
-            row = (t[i], b[i].real, b[i].imag, x[i], x2[i], x[i], x2[i], d_two[i],
-                   x2[i], x2[i] * x2[i])
+            row = (t[i], b[i].real, b[i].imag, abs_b[i], pop[i], abs_b[i], pop[i], d_two[i],
+                   pop[i], conc_phi[i])
             fh.write(",".join(_fmt(v) for v in row) + "\n")
     return EXIT_OK
 
 
 def _measure_bundle(cfg: RunConfig) -> dict:
-    model = cfg.build_model()
-    solver = cfg.build_solver(model)
-    traj = compute_trajectory(model, solver)
+    traj = cfg.trajectory()
     n_single = nonmarkovianity_single(traj, min_tolerance=cfg.min_tolerance)
     eg_pair = StatePair(first=excited_state(), second=ground_state())
     n_eg = blp_from_trajectory(pair_distance_trajectory(traj, eg_pair))
     n_two = lower_bound_two(traj, min_tolerance=cfg.min_tolerance)
-    bundle = {
+    # The reports carry regime and kappa only for a resonant Lorentzian.
+    single = n_single.to_dict()
+    return {
         "config": cfg.effective(),
-        "regime": None,
-        "kappa": None,
-        "n_single": n_single.to_dict(),
+        "regime": single["regime"],
+        "kappa": single["kappa"],
+        "n_single": single,
         "n_eg": n_eg.to_dict(),
         "n_two_lower": n_two.to_dict(),
     }
-    # Regime and kappa describe the resonant closed form; detuning has none.
-    if isinstance(model, Lorentzian) and model.detuning == 0.0:
-        bundle["regime"] = classify_regime(model).value
-        bundle["kappa"] = kappa(model)
-    return bundle
 
 
 def cmd_measure(cfg: RunConfig, out) -> int:
@@ -265,17 +269,12 @@ def cmd_measure(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _sweep_point(cfg: RunConfig) -> tuple:
-    """One sweep row; module-level so process pools can pickle it."""
+def _sweep_point(cfg: RunConfig) -> str:
+    """One sweep CSV row; module-level so process pools can pickle it."""
     bundle = _measure_bundle(cfg)
-    return (
-        cfg.width_ratio,
-        bundle["kappa"],
-        bundle["regime"],
-        bundle["n_single"]["total"],
-        bundle["n_eg"]["total"],
-        bundle["n_two_lower"]["total"],
-    )
+    totals = (bundle[key]["total"] for key in ("n_single", "n_eg", "n_two_lower"))
+    return ",".join([_fmt(cfg.width_ratio), _fmt(bundle["kappa"]), bundle["regime"] or "",
+                     *map(_fmt, totals)])
 
 
 def cmd_sweep(cfg: RunConfig, args, out) -> int:
@@ -297,19 +296,12 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
             rows = list(pool.map(_sweep_point, points))
     else:
         rows = [_sweep_point(p) for p in points]
-    lines = ["width_ratio,kappa,regime,n_single,n_eg,n_two_lower"]
-    for ratio, kap, regime, n_s, n_eg, n_two in rows:
-        lines.append(
-            f"{_fmt(ratio)},{_fmt(kap)},{regime or ''},{_fmt(n_s)},{_fmt(n_eg)},{_fmt(n_two)}"
-        )
-    _write(out, "\n".join(lines) + "\n")
+    _write(out, "\n".join(["width_ratio,kappa,regime,n_single,n_eg,n_two_lower", *rows]) + "\n")
     return EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig, args, out) -> int:
-    model = cfg.build_model()
-    solver = cfg.build_solver(model)
-    traj = compute_trajectory(model, solver)
+    traj = cfg.trajectory()
     report = verify_theorem(
         traj, samples=cfg.samples, seed=cfg.seed, bound_scale=args.fault_scale
     )
@@ -334,11 +326,6 @@ def make_parser() -> argparse.ArgumentParser:
                        help="spectral width over gamma0")
         p.add_argument("--dt", type=float, help="time step (1/gamma0 units)")
         p.add_argument("--t-max", type=float, dest="t_max", help="horizon")
-        p.add_argument("--min-tolerance", type=float, dest="min_tolerance",
-                       help="zero-qualification tolerance for distance minima")
-        p.add_argument("--jobs", type=int, help="parallel workers (sweep)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format where both make sense")
 
     p_sim = sub.add_parser("simulate", help="trajectory CSV: b(t) and derived signals")
     common(p_sim)
@@ -351,6 +338,10 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--width-from", type=float, required=True, dest="width_from")
     p_sweep.add_argument("--width-to", type=float, required=True, dest="width_to")
     p_sweep.add_argument("--steps", type=int, required=True)
+    p_sweep.add_argument("--jobs", type=int, help="parallel workers")
+    for p in (p_meas, p_sweep):
+        p.add_argument("--min-tolerance", type=float, dest="min_tolerance",
+                       help="zero-qualification tolerance for distance minima")
 
     p_ver = sub.add_parser("verify", help="random-pair check of the optimal-pair bound")
     common(p_ver)
@@ -367,12 +358,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = make_parser()
     args = parser.parse_args(argv)
-    native_format = {"simulate": "csv", "measure": "json", "sweep": "csv", "verify": "json"}
     try:
-        if args.format and args.format != native_format[args.command]:
-            raise ConfigError(
-                f"{args.command} emits {native_format[args.command]}, not {args.format}"
-            )
         cfg = build_config(args)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)

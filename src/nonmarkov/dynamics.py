@@ -8,6 +8,12 @@ coherences by b; its Kraus pair (phase kept on b) is
 in the (|e>, |g>) basis. Two noninteracting qubits in independent
 reservoirs evolve under the tensor square of the channel, which also
 covers entangled (Bell) inputs.
+
+The closed forms (`trace_distance_single`, `trace_distance_two`,
+`concurrence_bell`) take a scalar or an array of amplitudes and broadcast
+over it; the trajectory signals are these same functions applied to b(t).
+The population |b|^2 is clipped at 1, so amplitudes within the channel's
+slack above 1 still give signals in [0, 1].
 """
 
 from __future__ import annotations
@@ -107,17 +113,27 @@ def density_matrix(state: QubitInitialState) -> DensityMatrix:
     return DensityMatrix(np.array([[a, b], [np.conj(b), 1.0 - a]], dtype=complex))
 
 
-def _check_amplitude(b: complex) -> complex:
-    b = complex(b)
-    if abs(b) > 1.0 + constants.CHANNEL_INPUT_SLACK:
-        raise PhysicalityError(f"|b| = {abs(b)!r} exceeds 1 beyond tolerance")
-    return b
+def _check_amplitude(b: complex | np.ndarray) -> float | np.ndarray:
+    """|b| of a scalar or array amplitude, each element at most 1 + slack."""
+    x = np.abs(b)
+    if np.count_nonzero(x > 1.0 + constants.CHANNEL_INPUT_SLACK):
+        raise PhysicalityError(f"|b| = {float(np.max(x))!r} exceeds 1 beyond tolerance")
+    return x
+
+
+def _population(b: complex | np.ndarray) -> float | np.ndarray:
+    """Excited population |b|^2 after the channel, clipped at 1."""
+    x = _check_amplitude(b)
+    return np.minimum(x * x, 1.0)
+
+
+def _signal(traj: AmplitudeTrajectory, values) -> ScalarTrajectory:
+    return ScalarTrajectory(dt=traj.dt, values=values, lorentzian=traj.lorentzian)
 
 
 def kraus_pair(b: complex) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-damping Kraus pair with survival amplitude b."""
-    b = _check_amplitude(b)
-    decay = np.sqrt(max(0.0, 1.0 - abs(b) ** 2))
+    decay = np.sqrt(1.0 - _population(b))
     k0 = np.array([[b, 0.0], [0.0, 1.0]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [decay, 0.0]], dtype=complex)
     return k0, k1
@@ -125,16 +141,14 @@ def kraus_pair(b: complex) -> tuple[np.ndarray, np.ndarray]:
 
 def evolve_single(state: QubitInitialState, b: complex) -> DensityMatrix:
     """Apply the channel: rho_ee -> alpha|b|^2, rho_eg -> beta*b."""
-    b = _check_amplitude(b)
-    pop = state.alpha * min(abs(b) ** 2, 1.0)
-    coh = state.beta * b
+    pop = state.alpha * _population(b)
+    coh = state.beta * complex(b)
     return DensityMatrix(np.array([[pop, coh], [np.conj(coh), 1.0 - pop]], dtype=complex))
 
 
-def trace_distance_single(pair: StatePair, b: complex) -> float:
+def trace_distance_single(pair: StatePair, b: complex | np.ndarray) -> float | np.ndarray:
     """|b| sqrt(|b|^2 (alpha-mu)^2 + |beta-nu|^2), the closed-form distance."""
-    b = _check_amplitude(b)
-    x = abs(b)
+    x = _check_amplitude(b)
     da = pair.first.alpha - pair.second.alpha
     db = abs(pair.first.beta - pair.second.beta)
     return x * np.sqrt(x * x * da * da + db * db)
@@ -142,23 +156,17 @@ def trace_distance_single(pair: StatePair, b: complex) -> float:
 
 def pair_distance_trajectory(traj: AmplitudeTrajectory, pair: StatePair) -> ScalarTrajectory:
     """Closed-form trace distance of an evolving pair along a trajectory."""
-    x = np.abs(traj.values)
-    da = pair.first.alpha - pair.second.alpha
-    db = abs(pair.first.beta - pair.second.beta)
-    vals = x * np.sqrt(x * x * da * da + db * db)
-    return ScalarTrajectory(dt=traj.dt, values=vals, lorentzian=traj.lorentzian)
+    return _signal(traj, trace_distance_single(pair, traj.values))
 
 
 def optimal_distance_trajectory(traj: AmplitudeTrajectory) -> ScalarTrajectory:
     """|b(t)|: the trace distance of the optimal |+>/|-> pair."""
-    return ScalarTrajectory(dt=traj.dt, values=np.abs(traj.values), lorentzian=traj.lorentzian)
+    return _signal(traj, _check_amplitude(traj.values))
 
 
 def population_excited(traj: AmplitudeTrajectory) -> ScalarTrajectory:
     """Excited population |b(t)|^2 of a qubit prepared in |e>."""
-    return ScalarTrajectory(
-        dt=traj.dt, values=np.abs(traj.values) ** 2, lorentzian=traj.lorentzian
-    )
+    return _signal(traj, _population(traj.values))
 
 
 def bell_psi() -> DensityMatrix:
@@ -186,7 +194,6 @@ def evolve_two_qubit(
     input (e.g. a Bell state) is given as a 4x4 DensityMatrix with
     b_state = None, and goes through the Kraus tensor representation.
     """
-    b = _check_amplitude(b)
     if isinstance(a, DensityMatrix):
         if b_state is not None:
             raise PhysicalityError("joint 4x4 input takes b_state=None")
@@ -204,28 +211,23 @@ def evolve_two_qubit(
     return DensityMatrix(kron(evolve_single(a, b).matrix, evolve_single(b_state, b).matrix))
 
 
-def trace_distance_two(b: complex) -> float:
+def trace_distance_two(b: complex | np.ndarray) -> float | np.ndarray:
     """|b| sqrt(2 - 2|b|^2 + |b|^4): distance of evolved |++> vs |-->."""
-    b = _check_amplitude(b)
-    x = abs(b)
-    return x * np.sqrt(2.0 - 2.0 * x * x + x**4)
+    x = _check_amplitude(b)
+    x2 = x * x
+    return x * np.sqrt(2.0 - 2.0 * x2 + x2 * x2)
 
 
 def two_qubit_distance_trajectory(traj: AmplitudeTrajectory) -> ScalarTrajectory:
-    x = np.abs(traj.values)
-    vals = x * np.sqrt(2.0 - 2.0 * x * x + x**4)
-    return ScalarTrajectory(dt=traj.dt, values=vals, lorentzian=traj.lorentzian)
+    return _signal(traj, trace_distance_two(traj.values))
 
 
-def concurrence_bell(b: complex) -> tuple[float, float]:
+def concurrence_bell(b: complex | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Concurrences (|b|^2, |b|^4) of evolved Bell states |Psi> and |Phi>."""
-    b = _check_amplitude(b)
-    x2 = min(abs(b) ** 2, 1.0)
-    return max(0.0, x2), max(0.0, x2 * x2)
+    x2 = _population(b)
+    return x2, x2 * x2
 
 
 def concurrence_trajectories(traj: AmplitudeTrajectory) -> tuple[ScalarTrajectory, ScalarTrajectory]:
-    x2 = np.minimum(np.abs(traj.values) ** 2, 1.0)
-    c_psi = ScalarTrajectory(dt=traj.dt, values=x2, lorentzian=traj.lorentzian)
-    c_phi = ScalarTrajectory(dt=traj.dt, values=x2 * x2, lorentzian=traj.lorentzian)
-    return c_psi, c_phi
+    c_psi, c_phi = concurrence_bell(traj.values)
+    return _signal(traj, c_psi), _signal(traj, c_phi)

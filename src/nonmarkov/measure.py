@@ -21,6 +21,7 @@ from .dynamics import (
     QubitInitialState,
     optimal_distance_trajectory,
     pair_distance_trajectory,
+    trace_distance_two,
 )
 from .errors import HorizonError, PhysicalityError
 from .reservoir import Lorentzian, Regime, classify_regime, kappa
@@ -264,15 +265,14 @@ def _maxima_sum(
     """Shared core of the simplified measures: sum weight(max value) over maxima."""
     intervals = find_extrema(sig)
     model = sig.lorentzian
-    cf = None
+    cf = tail = None
     if model is not None and classify_regime(model) is Regime.NON_MARKOVIAN:
         intervals, q, unit_tail = _lorentzian_truncation(model, sig.t_max, intervals)
         tail = tail_scale * unit_tail
         if closed_form is not None:
             cf = closed_form(q)
-        contributions = [weight(iv.value_at_max) for iv in intervals]
-    else:
-        contributions = [weight(iv.value_at_max) for iv in intervals]
+    contributions = [float(weight(iv.value_at_max)) for iv in intervals]
+    if tail is None:
         tail = _generic_tail_bound(contributions)
         if model is None and intervals:
             trailing = sig.values[int(0.95 * (sig.values.size - 1)):]
@@ -337,7 +337,7 @@ def lower_bound_two(
     """
     return _maxima_sum(
         optimal_distance_trajectory(b_traj),
-        weight=lambda x: x * math.sqrt(2.0 - 2.0 * x * x + x**4),
+        weight=trace_distance_two,
         min_tolerance=min_tolerance,
         tail_scale=math.sqrt(2.0),
     )
@@ -346,10 +346,10 @@ def lower_bound_two(
 def lower_bound_two_from_population(
     p_traj: ScalarTrajectory, min_tolerance: float = constants.MIN_VALUE_TOL
 ) -> NonMarkovianityReport:
-    """Equivalent population form sqrt(2P - 2P^2 + P^3) of the two-qubit bound."""
+    """Population form of the two-qubit bound: weight sqrt(2P - 2P^2 + P^3) at P = x^2."""
     return _maxima_sum(
         p_traj,
-        weight=lambda p: math.sqrt(2.0 * p - 2.0 * p * p + p**3),
+        weight=lambda p: trace_distance_two(math.sqrt(p)),
         min_tolerance=min_tolerance,
         tail_scale=math.sqrt(2.0),
     )

@@ -112,6 +112,11 @@ def load_tabulated(path, qubit_frequency: float) -> Tabulated:
     return Tabulated(points=pts, qubit_frequency=qubit_frequency)
 
 
+def is_resonant(model: SpectralModel) -> bool:
+    """True for a Lorentzian at zero detuning, the one model whose b(t) has a closed form."""
+    return isinstance(model, Lorentzian) and model.detuning == 0.0
+
+
 def classify_regime(model: SpectralModel) -> Regime:
     """Markovian for gamma0 < width/2, non-Markovian above, critical at the edge."""
     if not isinstance(model, Lorentzian):

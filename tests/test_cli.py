@@ -6,7 +6,25 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli
+from nonmarkov.amplitude import Method, SolverConfig, compute_trajectory
 from nonmarkov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, main
+from nonmarkov.dynamics import (
+    StatePair,
+    concurrence_trajectories,
+    excited_state,
+    ground_state,
+    optimal_distance_trajectory,
+    pair_distance_trajectory,
+    population_excited,
+    two_qubit_distance_trajectory,
+)
+from nonmarkov.reservoir import Lorentzian, kappa
+
+DETUNED_INI = "[model]\nwidth_ratio = 1\ndetuning = 0.3\n[solver]\nt_max = {t_max}\n"
+OHMIC_INI = (
+    "[model]\ntype = ohmic\ncoupling = 0.05\nexponent = 1.0\ncutoff = 1.0\n"
+    "qubit_frequency = 1.0\n[solver]\ndt = 0.01\nt_max = 20\n"
+)
 
 
 def run(tmp_path, *argv):
@@ -42,6 +60,25 @@ class TestSimulate:
         for col in range(3, 10):  # abs_b through conc_phi
             assert np.all(np.diff(rows[:, col]) <= 1e-15)
 
+    def test_rows_are_dynamics_signals(self, tmp_path):
+        ini = tmp_path / "detuned.ini"
+        ini.write_text(DETUNED_INI.format(t_max=10))
+        code, text = run(tmp_path, "simulate", "--config", str(ini))
+        assert code == EXIT_OK
+        cfg = SolverConfig(dt=1e-3, t_max=10.0, method=Method.VOLTERRA)
+        traj = compute_trajectory(Lorentzian(1.0, 1.0, detuning=0.3), cfg)
+        b = traj.values
+        eg_pair = StatePair(excited_state(), ground_state())
+        columns = [
+            traj.times(), b.real, b.imag, optimal_distance_trajectory(traj).values,
+            population_excited(traj).values, optimal_distance_trajectory(traj).values,
+            pair_distance_trajectory(traj, eg_pair).values,
+            two_qubit_distance_trajectory(traj).values,
+            *(c.values for c in concurrence_trajectories(traj)),
+        ]
+        want = [",".join(cli._fmt(col[i]) for col in columns) for i in range(b.size)]
+        assert text.splitlines()[1:] == want
+
     def test_twelve_significant_digits(self, tmp_path):
         code, text = run(tmp_path, "simulate", "--width-ratio", "0.5", "--t-max", "5")
         cell = text.splitlines()[2].split(",")[1]
@@ -71,6 +108,22 @@ class TestMeasure:
         assert data["regime"] == "critical"
         for key in ("n_single", "n_eg", "n_two_lower"):
             assert data[key]["total"] == 0.0
+
+    @pytest.mark.parametrize(
+        "ini_text, regime, kap",
+        [("[model]\nwidth_ratio = 0.5\n", "non_markovian", kappa(Lorentzian(1.0, 0.5))),
+         (DETUNED_INI.format(t_max=40), None, None),
+         (OHMIC_INI, None, None)],
+        ids=["resonant", "detuned", "ohmic"],
+    )
+    def test_regime_and_kappa_from_single_report(self, tmp_path, ini_text, regime, kap):
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text)
+        code, text = run(tmp_path, "measure", "--config", str(ini))
+        assert code == EXIT_OK
+        bundle = json.loads(text)
+        assert bundle["regime"] == bundle["n_single"]["regime"] == regime
+        assert bundle["kappa"] == bundle["n_single"]["kappa"] == kap
 
     def test_horizon_error_exit_code(self, tmp_path):
         out = tmp_path / "x.json"
@@ -247,9 +300,47 @@ class TestConfigHandling:
         code, _ = run(tmp_path, "measure", "--width-ratio", "-0.5")
         assert code == EXIT_CONFIG
 
-    def test_format_mismatch_rejected(self, tmp_path):
-        code, _ = run(tmp_path, "measure", "--width-ratio", "0.5", "--format", "csv")
-        assert code == EXIT_CONFIG
+    def test_format_mismatch_rejected(self, tmp_path, capsys):
+        # Every subcommand emits one format, so there is no --format flag.
+        with pytest.raises(SystemExit) as exit_info:
+            run(tmp_path, "measure", "--width-ratio", "0.5", "--format", "json")
+        assert exit_info.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["measure", "--jobs", "4"], ["simulate", "--min-tolerance", "0.5"],
+         ["verify", "--min-tolerance", "0.5"]],
+        ids=["measure_jobs", "simulate_min_tolerance", "verify_min_tolerance"],
+    )
+    def test_flag_of_other_subcommand_rejected(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run(tmp_path, *argv, "--width-ratio", "0.5")
+        err = capsys.readouterr().err
+        assert exit_info.value.code == EXIT_CONFIG
+        assert err.count("\n") == 1 and f"unrecognized arguments: {argv[1]}" in err
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [(["measure", "--t-max", "inf"], "t_max must be positive and finite"),
+         (["verify", "--seed", "-1"], "seed must be nonnegative"),
+         (["measure", "--width-ratio", "10", "--out", "{tmp}/missing/x.json"],
+          "cannot write output"),
+         (["measure", "--config", "{tmp}/table.ini"], "table '{tmp}/missing.txt'")],
+        ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing"],
+    )
+    def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, argv, fragment):
+        (tmp_path / "table.ini").write_text(
+            f"[model]\ntype = tabulated\ntable = {tmp_path}/missing.txt\nqubit_frequency = 1\n"
+            "[solver]\nt_max = 10\n"
+        )
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(tmp_path / "out.txt")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("nonmarkov: config error: ")
+        assert fragment.format(tmp=tmp_path) in err and "Traceback" not in err
 
     def test_missing_t_max_for_ohmic(self, tmp_path):
         ini = tmp_path / "ohmic.ini"

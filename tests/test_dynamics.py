@@ -237,3 +237,31 @@ class TestConcurrence:
         c_psi, c_phi = concurrence_trajectories(traj)
         assert np.allclose(c_psi.values, [1.0, 0.25, 0.0625], atol=0)
         assert np.allclose(c_phi.values, [1.0, 0.0625, 0.00390625], atol=0)
+
+
+class TestBroadcasting:
+    PAIR = StatePair(QubitInitialState(0.7, 0.2 + 0.1j), QubitInitialState(0.1, -0.2j))
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [lambda b: trace_distance_single(TestBroadcasting.PAIR, b), trace_distance_two,
+         lambda b: concurrence_bell(b)[0], lambda b: concurrence_bell(b)[1]],
+        ids=["single", "two", "conc_psi", "conc_phi"],
+    )
+    def test_array_equals_scalar_calls(self, closed_form):
+        rng = np.random.default_rng(10)
+        bs = rng.uniform(0, 1, 300) * np.exp(1j * rng.uniform(0, 2 * np.pi, 300))
+        bs = np.append(bs, (1.0 + 9e-9) * np.exp(0.3j))  # above 1, within the slack
+        got = closed_form(bs)
+        assert got.shape == bs.shape
+        assert np.array_equal(got, [closed_form(complex(b)) for b in bs])
+
+    def test_population_clipped_at_one(self):
+        b = (1.0 + 9e-9) * np.exp(0.3j)
+        assert concurrence_bell(b) == (1.0, 1.0)
+        assert evolve_single(excited_state(), b).matrix[0, 0] == 1.0
+
+    def test_array_rejected_beyond_slack(self):
+        with pytest.raises(PhysicalityError, match="exceeds 1"):
+            trace_distance_two(np.array([0.5, 1.0 + 1e-6, 0.2]))
+

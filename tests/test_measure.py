@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from nonmarkov import constants, measure
-from nonmarkov.amplitude import Method, SolverConfig, compute_trajectory, default_horizon
+from nonmarkov.amplitude import (
+    AmplitudeTrajectory,
+    Method,
+    SolverConfig,
+    compute_trajectory,
+    default_horizon,
+)
 from nonmarkov.dynamics import (
     QubitInitialState,
     ScalarTrajectory,
@@ -199,6 +205,15 @@ class TestPopulationMeasure:
         oracle = sum(q**n for n in range(1, 60))
         assert report.total == pytest.approx(oracle, abs=1e-6)
         assert report.total == pytest.approx(0.194790, abs=1e-4)
+
+    def test_amplitude_above_one_within_slack(self):
+        values = lorentzian_trajectory(1.0).values.copy()
+        values[1] = 1.0 + 9e-9  # AmplitudeTrajectory accepts up to 1 + 1e-8
+        traj = AmplitudeTrajectory(dt=1e-3, values=values, lorentzian=Lorentzian(1.0, 1.0))
+        pop = population_excited(traj)
+        assert pop.values.max() == 1.0
+        report = nonmarkovianity_from_population(pop)
+        assert abs(report.total - nonmarkovianity_single(traj).total) <= 1e-9
 
     def test_constant_population_zero(self):
         sig = ScalarTrajectory(dt=0.1, values=np.ones(100))
