@@ -3,8 +3,9 @@
 Units: gamma0 = 1 defines the rate unit, so `--width-ratio` is the
 spectral width over gamma0 and times are in 1/gamma0. Configuration comes
 from an INI-style file (sections [model], [solver], [measure], [run]) with
-flags taking precedence. Exit codes: 0 success, 1 configuration error,
-2 numerical failure, 3 verification failure. NM_LOG sets log verbosity.
+flags taking precedence; each subcommand rejects the keys it does not
+read. Exit codes: 0 success, 1 configuration error, 2 numerical failure,
+3 verification failure. NM_LOG sets log verbosity.
 """
 
 from __future__ import annotations
@@ -58,6 +59,19 @@ _SCHEMA = {
     "measure": {"min_tolerance"},
     "run": {"seed", "samples", "jobs"},
 }
+# The INI keys each subcommand reads; a file that sets any other key is rejected.
+_READS = {
+    "simulate": {"model": _SCHEMA["model"], "solver": _SCHEMA["solver"]},
+    "measure": {"model": _SCHEMA["model"], "solver": _SCHEMA["solver"],
+                "measure": _SCHEMA["measure"]},
+    "sweep": {"model": _SCHEMA["model"] - {"width_ratio"}, "solver": _SCHEMA["solver"],
+              "measure": _SCHEMA["measure"], "run": {"jobs"}},
+    "verify": {"model": _SCHEMA["model"], "solver": _SCHEMA["solver"],
+               "run": {"seed", "samples"}},
+}
+
+# simulate formats and writes its CSV this many rows at a time.
+_CSV_BLOCK = 4096
 
 
 @dataclass
@@ -121,6 +135,11 @@ class RunConfig:
                 t_max = default_horizon(model.gamma0, model.width)
             else:
                 raise ConfigError("t_max has no automatic rule for this model; pass --t-max")
+        # Checked before any array exists: --dt 1e-300 must not reach numpy.
+        steps = t_max / self.dt
+        if not (math.isfinite(steps) and round(steps) <= constants.MAX_STEPS):
+            raise ConfigError(f"t_max/dt = {steps:.10g} steps exceeds the cap of "
+                              f"{constants.MAX_STEPS} steps")
         return SolverConfig(dt=self.dt, t_max=t_max, method=method)
 
     def trajectory(self) -> AmplitudeTrajectory:
@@ -149,8 +168,8 @@ _INT_KEYS = {"seed", "samples", "jobs"}
 _STR_KEYS = {"type": "model_type", "method": "method", "table": "table"}
 
 
-def load_config_file(path: str) -> dict:
-    """Parse the INI file into {attribute: value}, rejecting unknown keys."""
+def load_config_file(path: str, command: str) -> dict:
+    """Parse the INI file into {attribute: value}, rejecting keys `command` does not read."""
     import configparser
 
     parser = configparser.ConfigParser()
@@ -170,6 +189,8 @@ def load_config_file(path: str) -> dict:
         for key, raw in items:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            if key not in _READS[command].get(section, ()):
+                raise ConfigError(f"{command} does not read key {key!r} in section [{section}]")
             if key in _STR_KEYS:
                 values[_STR_KEYS[key]] = raw.strip()
                 continue
@@ -185,7 +206,7 @@ def load_config_file(path: str) -> dict:
 def build_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
+        values.update(load_config_file(args.config, args.command))
     # Each subcommand defines only the flags it reads; the rest are absent.
     for key in ("width_ratio", "dt", "t_max", "seed", "samples", "jobs", "min_tolerance"):
         if getattr(args, key, None) is not None:
@@ -227,21 +248,33 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
+def _cells(col: np.ndarray) -> list[str]:
+    """`_fmt` of every value in `col`, formatted by one `%` operation."""
+    return (("%.12g\n" * col.size) % tuple(col.tolist())).splitlines()
+
+
+def _write_signal_rows(fh, t, b, abs_b, pop, d_two, conc_phi) -> None:
+    """Write the simulate CSV rows block by block; each distinct column is formatted once.
+
+    d_opt repeats abs_b, and d_eg and conc_psi repeat pop. Only one block
+    of rows is held at a time, so memory does not grow with the row count.
+    """
+    for start in range(0, t.size, _CSV_BLOCK):
+        block = slice(start, start + _CSV_BLOCK)
+        tc, rc, ic, ac, pc, dc, cc = (_cells(col[block]) for col in
+                                      (t, b.real, b.imag, abs_b, pop, d_two, conc_phi))
+        rows = zip(tc, rc, ic, ac, pc, ac, pc, dc, pc, cc)
+        fh.write("\n".join(map(",".join, rows)) + "\n")
+
+
 def cmd_simulate(cfg: RunConfig, out) -> int:
     traj = cfg.trajectory()
-    t = traj.times()
     b = traj.values
-    # d_opt is abs_b; d_eg and conc_psi are the excited population pop_e.
     abs_b = optimal_distance_trajectory(traj).values
-    d_two = trace_distance_two(b)
     pop, conc_phi = concurrence_bell(b)
-    # Row by row: joining 386k rows first would hold the whole file in memory.
     with _output(out) as fh:
         fh.write("t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi\n")
-        for i in range(b.size):
-            row = (t[i], b[i].real, b[i].imag, abs_b[i], pop[i], abs_b[i], pop[i], d_two[i],
-                   pop[i], conc_phi[i])
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        _write_signal_rows(fh, traj.times(), b, abs_b, pop, trace_distance_two(b), conc_phi)
     return EXIT_OK
 
 
@@ -319,11 +352,12 @@ def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nonmarkov", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, width=True):
         p.add_argument("--config", help="INI config file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--width-ratio", type=float, dest="width_ratio",
-                       help="spectral width over gamma0")
+        if width:  # sweep sets the width per point
+            p.add_argument("--width-ratio", type=float, dest="width_ratio",
+                           help="spectral width over gamma0")
         p.add_argument("--dt", type=float, help="time step (1/gamma0 units)")
         p.add_argument("--t-max", type=float, dest="t_max", help="horizon")
 
@@ -334,7 +368,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_meas)
 
     p_sweep = sub.add_parser("sweep", help="measures across a range of width ratios")
-    common(p_sweep)
+    common(p_sweep, width=False)
     p_sweep.add_argument("--width-from", type=float, required=True, dest="width_from")
     p_sweep.add_argument("--width-to", type=float, required=True, dest="width_to")
     p_sweep.add_argument("--steps", type=int, required=True)

@@ -17,6 +17,10 @@ AMPLITUDE_BOUND_SLACK = 1e-8     # |b(t)| <= 1 + this for stored trajectories
 AMPLITUDE_INSTABILITY_SLACK = 1e-6  # solver aborts past 1 + this
 CHANNEL_INPUT_SLACK = 1e-8       # |b| <= 1 + this accepted by the channel
 
+# Largest step count round(t_max/dt) the CLI runs: a 2 GiB budget at 256
+# bytes per step (a Volterra `measure` peaks near 225 bytes per step).
+MAX_STEPS = 2**31 // 256
+
 # Lorentzian regime boundaries
 CRITICAL_REGIME_REL_TOL = 1e-12  # classify: |gamma0 - width/2| <= this * width
 CRITICAL_BRANCH_REL_TOL = 1e-9   # closed form switches to the kappa -> 0 limit

@@ -12,8 +12,9 @@ covers entangled (Bell) inputs.
 The closed forms (`trace_distance_single`, `trace_distance_two`,
 `concurrence_bell`) take a scalar or an array of amplitudes and broadcast
 over it; the trajectory signals are these same functions applied to b(t).
-The population |b|^2 is clipped at 1, so amplitudes within the channel's
-slack above 1 still give signals in [0, 1].
+The population |b|^2 and the single-qubit distance are clipped at 1, so
+amplitudes within the channel's slack above 1 still give signals in
+[0, 1].
 """
 
 from __future__ import annotations
@@ -147,11 +148,11 @@ def evolve_single(state: QubitInitialState, b: complex) -> DensityMatrix:
 
 
 def trace_distance_single(pair: StatePair, b: complex | np.ndarray) -> float | np.ndarray:
-    """|b| sqrt(|b|^2 (alpha-mu)^2 + |beta-nu|^2), the closed-form distance."""
+    """|b| sqrt(|b|^2 (alpha-mu)^2 + |beta-nu|^2), the closed-form distance, clipped at 1."""
     x = _check_amplitude(b)
     da = pair.first.alpha - pair.second.alpha
     db = abs(pair.first.beta - pair.second.beta)
-    return x * np.sqrt(x * x * da * da + db * db)
+    return np.minimum(x * np.sqrt(x * x * da * da + db * db), 1.0)
 
 
 def pair_distance_trajectory(traj: AmplitudeTrajectory, pair: StatePair) -> ScalarTrajectory:

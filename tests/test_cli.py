@@ -1,21 +1,24 @@
 """Tests for the command-line front end: outputs, determinism, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from nonmarkov import cli
+from nonmarkov import cli, constants
 from nonmarkov.amplitude import Method, SolverConfig, compute_trajectory
 from nonmarkov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, main
 from nonmarkov.dynamics import (
     StatePair,
+    concurrence_bell,
     concurrence_trajectories,
     excited_state,
     ground_state,
     optimal_distance_trajectory,
     pair_distance_trajectory,
     population_excited,
+    trace_distance_two,
     two_qubit_distance_trajectory,
 )
 from nonmarkov.reservoir import Lorentzian, kappa
@@ -31,6 +34,42 @@ def run(tmp_path, *argv):
     out = tmp_path / "out.txt"
     code = main([*argv, "--out", str(out)])
     return code, out.read_text() if out.exists() else ""
+
+
+def reference_simulate_csv(traj) -> str:
+    """The simulate CSV written cell by cell, one `_fmt` call per value: the byte oracle."""
+    t = traj.times()
+    b = traj.values
+    abs_b = optimal_distance_trajectory(traj).values
+    d_two = trace_distance_two(b)
+    pop, conc_phi = concurrence_bell(b)
+    lines = ["t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi"]
+    for i in range(b.size):
+        row = (t[i], b[i].real, b[i].imag, abs_b[i], pop[i], abs_b[i], pop[i], d_two[i],
+               pop[i], conc_phi[i])
+        lines.append(",".join(cli._fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Fail at the first differing line; pytest's own diff of megabyte strings takes minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    i = next((i for i, pair in enumerate(zip(got_lines, want_lines)) if pair[0] != pair[1]),
+             min(len(got_lines), len(want_lines)))
+    pytest.fail(f"line {i} differs: {got_lines[i:i + 1]} != {want_lines[i:i + 1]} "
+                f"({len(got_lines)} and {len(want_lines)} lines)")
+
+
+class LineCounter:
+    """A write-only file that keeps the number of lines written and nothing else."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
 
 
 class TestSimulate:
@@ -77,12 +116,54 @@ class TestSimulate:
             *(c.values for c in concurrence_trajectories(traj)),
         ]
         want = [",".join(cli._fmt(col[i]) for col in columns) for i in range(b.size)]
+        # Two full blocks and a partial one.
+        assert b.size > 2 * cli._CSV_BLOCK and b.size % cli._CSV_BLOCK
         assert text.splitlines()[1:] == want
 
     def test_twelve_significant_digits(self, tmp_path):
         code, text = run(tmp_path, "simulate", "--width-ratio", "0.5", "--t-max", "5")
         cell = text.splitlines()[2].split(",")[1]
         assert len(cell.replace("-", "").replace(".", "").lstrip("0")) <= 12
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("t_max, rows", [("4.094", 4095), ("4.095", 4096),
+                                             ("4.096", 4097), ("8.192", 8193)])
+    @pytest.mark.parametrize("model", ["resonant", "detuned"])
+    def test_block_boundaries_match_per_cell_writer(self, tmp_path, model, t_max, rows):
+        if model == "resonant":
+            cfg = cli.RunConfig(width_ratio=0.1, t_max=float(t_max))
+            argv = ["simulate", "--width-ratio", "0.1", "--t-max", t_max]
+        else:
+            ini = tmp_path / "detuned.ini"
+            ini.write_text(DETUNED_INI.format(t_max=t_max))
+            cfg = cli.RunConfig(width_ratio=1.0, detuning=0.3, t_max=float(t_max))
+            argv = ["simulate", "--config", str(ini)]
+        code, text = run(tmp_path, *argv)
+        assert code == EXIT_OK
+        traj = cfg.trajectory()
+        assert traj.values.size == rows and text.count("\n") == rows + 1
+        assert_same_text(text, reference_simulate_csv(traj))
+        if model == "detuned":
+            im_b = [line.split(",")[2] for line in text.splitlines()[2:]]
+            assert all(cell.startswith("-") and float(cell) < 0 for cell in im_b)
+
+    def test_memory_does_not_grow_with_rows(self):
+        rng = np.random.default_rng(3)
+        for rows in (20_000, 200_000):
+            b = rng.uniform(0, 1, rows) * np.exp(2j * np.pi * rng.uniform(size=rows))
+            pop, conc_phi = concurrence_bell(b)
+            columns = (1e-3 * np.arange(rows), b, np.abs(b), pop, trace_distance_two(b), conc_phi)
+            sink = LineCounter()
+            # Allocations from here on are the writer's own; its input columns exist already.
+            tracemalloc.start()
+            try:
+                cli._write_signal_rows(sink, *columns)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert sink.lines == rows
+            assert peak < 8 * 2**20, f"{rows} rows: writer peaked at {peak / 2**20:.1f} MiB"
 
 
 class TestMeasure:
@@ -249,7 +330,7 @@ class TestConfigHandling:
         ini = tmp_path / "run.ini"
         ini.write_text(
             "[model]\ntype = lorentzian\ngamma0 = 1.0\nwidth_ratio = 0.5\n"
-            "[solver]\ndt = 0.001\n\n[run]\nseed = 42\n"
+            "[solver]\ndt = 0.001\n\n[measure]\nmin_tolerance = 1e-6\n"
         )
         _, from_file = run(tmp_path, "measure", "--config", str(ini))
         _, from_flags = run(tmp_path, "measure", "--width-ratio", "0.5", "--dt", "0.001")
@@ -284,6 +365,42 @@ class TestConfigHandling:
         assert fragment in err
         assert err.count("\n") == 1 and err.startswith("nonmarkov: config error:")
 
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [("measure", "run", "jobs"), ("measure", "run", "samples"), ("measure", "run", "seed"),
+         ("simulate", "measure", "min_tolerance"), ("simulate", "run", "seed"),
+         ("verify", "measure", "min_tolerance"), ("verify", "run", "jobs"),
+         ("sweep", "model", "width_ratio"), ("sweep", "run", "samples")],
+    )
+    def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, capsys, command,
+                                                       section, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = 7\n")
+        argv = [command, "--config", str(ini)]
+        if command == "sweep":
+            argv += ["--width-from", "5", "--width-to", "10", "--steps", "2"]
+        code, _ = run(tmp_path, *argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == (f"nonmarkov: config error: {command} does not read key {key!r} "
+                       f"in section [{section}]\n")
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [("simulate", "[model]\nwidth_ratio = 10\n[solver]\nt_max = 1\n"),
+         ("measure", "[model]\nwidth_ratio = 10\n[measure]\nmin_tolerance = 1e-6\n"),
+         ("sweep", "[model]\ngamma0 = 1\n[measure]\nmin_tolerance = 1e-6\n[run]\njobs = 1\n"),
+         ("verify", "[model]\nwidth_ratio = 10\n[run]\nseed = 3\nsamples = 100\n")],
+    )
+    def test_keys_the_subcommand_reads_accepted(self, tmp_path, command, text):
+        ini = tmp_path / "run.ini"
+        ini.write_text(text)
+        argv = [command, "--config", str(ini)]
+        if command == "sweep":
+            argv += ["--width-from", "5", "--width-to", "10", "--steps", "2"]
+        code, _ = run(tmp_path, *argv)
+        assert code == EXIT_OK
+
     def test_unknown_section_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[mystery]\nx = 1\n")
@@ -310,8 +427,10 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv",
         [["measure", "--jobs", "4"], ["simulate", "--min-tolerance", "0.5"],
-         ["verify", "--min-tolerance", "0.5"]],
-        ids=["measure_jobs", "simulate_min_tolerance", "verify_min_tolerance"],
+         ["verify", "--min-tolerance", "0.5"],
+         ["sweep", "--width-ratio", "7", "--width-from", "5", "--width-to", "10", "--steps", "2"]],
+        ids=["measure_jobs", "simulate_min_tolerance", "verify_min_tolerance",
+             "sweep_width_ratio"],
     )
     def test_flag_of_other_subcommand_rejected(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -353,20 +472,63 @@ class TestConfigHandling:
 
 
 class TestEffectiveConfigRoundTrip:
-    def test_rerunning_effective_config_reproduces_output(self, tmp_path):
+    def test_rerunning_effective_config_reproduces_output(self, tmp_path, capsys):
         _, first = run(tmp_path, "measure", "--width-ratio", "0.3", "--dt", "0.002")
         eff = json.loads(first)["config"]
-        ini = tmp_path / "effective.ini"
-        lines = []
-        for section, values in eff.items():
-            lines.append(f"[{section}]")
-            for key, value in values.items():
-                if value is None:
-                    continue
-                lines.append(f"{key} = {value}")
-        ini.write_text("\n".join(lines) + "\n")
-        _, second = run(tmp_path, "measure", "--config", str(ini))
+
+        def write_ini(sections):
+            ini = tmp_path / "effective.ini"
+            lines = []
+            for section in sections:
+                lines.append(f"[{section}]")
+                for key, value in eff[section].items():
+                    if value is None:
+                        continue
+                    lines.append(f"{key} = {value}")
+            ini.write_text("\n".join(lines) + "\n")
+            return str(ini)
+
+        # The config block also echoes [run], which measure does not read.
+        code, _ = run(tmp_path, "measure", "--config", write_ini(eff))
+        assert code == EXIT_CONFIG
+        assert "measure does not read key 'seed' in section [run]" in capsys.readouterr().err
+        _, second = run(tmp_path, "measure", "--config", write_ini(["model", "solver", "measure"]))
         assert first == second
+
+
+class TestStepCap:
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [(["simulate", "--dt", "1e-300"], "3.864073394e+302"),
+         (["measure", "--dt", "1e-300", "--t-max", "1e300"], "inf"),
+         (["verify", "--dt", "1", "--t-max", str(constants.MAX_STEPS + 1)],
+          str(constants.MAX_STEPS + 1)),
+         (["measure", "--width-ratio", "1e-6"], "3.822906956e+10")],
+        ids=["tiny_dt", "infinite_ratio", "one_past_cap", "default_horizon"],
+    )
+    def test_rejected_before_allocating(self, tmp_path, capsys, argv, steps):
+        tracemalloc.start()
+        try:
+            code = main([*argv, "--out", str(tmp_path / "out.txt")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"nonmarkov: config error: t_max/dt = {steps}") and err.count("\n") == 1
+        assert f"exceeds the cap of {constants.MAX_STEPS} steps" in err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("extra, allowed", [(0.0, True), (0.4, True), (0.6, False)])
+    def test_cap_is_on_the_rounded_count(self, extra, allowed):
+        # build_solver allocates nothing, so the cap itself is checked without running it.
+        cfg = cli.RunConfig(dt=1.0, t_max=constants.MAX_STEPS + extra)
+        model = cfg.build_model()
+        if allowed:
+            assert cfg.build_solver(model).steps == constants.MAX_STEPS
+        else:
+            with pytest.raises(cli.ConfigError, match="exceeds the cap"):
+                cfg.build_solver(model)
 
 
 class TestDetunedMeasure:

@@ -261,6 +261,17 @@ class TestBroadcasting:
         assert concurrence_bell(b) == (1.0, 1.0)
         assert evolve_single(excited_state(), b).matrix[0, 0] == 1.0
 
+    def test_single_distance_clipped_at_one(self):
+        # The excited/ground distance is |b|^2: 1 + 1.8e-8 unclipped, past the signal slack.
+        eg_pair = StatePair(excited_state(), ground_state())
+        assert trace_distance_single(eg_pair, (1.0 + 9e-9) * np.exp(0.3j)) == 1.0
+        values = np.exp(-0.01 * np.arange(50)).astype(complex)
+        values[1] = 1.0 + 9e-9  # AmplitudeTrajectory accepts up to 1 + 1e-8
+        traj = AmplitudeTrajectory(dt=1e-3, values=values)
+        signal = pair_distance_trajectory(traj, eg_pair)
+        assert signal.values[1] == 1.0
+        assert np.array_equal(signal.values, population_excited(traj).values)
+
     def test_array_rejected_beyond_slack(self):
         with pytest.raises(PhysicalityError, match="exceeds 1"):
             trace_distance_two(np.array([0.5, 1.0 + 1e-6, 0.2]))

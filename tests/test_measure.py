@@ -215,6 +215,16 @@ class TestPopulationMeasure:
         report = nonmarkovianity_from_population(pop)
         assert abs(report.total - nonmarkovianity_single(traj).total) <= 1e-9
 
+    def test_eg_pair_above_one_within_slack(self):
+        clean = lorentzian_trajectory(1.0)
+        values = clean.values.copy()
+        values[1] = 1.0 + 9e-9
+        traj = AmplitudeTrajectory(dt=1e-3, values=values, lorentzian=Lorentzian(1.0, 1.0))
+        eg_pair = StatePair(excited_state(), ground_state())
+        report = blp_from_trajectory(pair_distance_trajectory(traj, eg_pair))
+        clean_report = blp_from_trajectory(pair_distance_trajectory(clean, eg_pair))
+        assert abs(report.total - clean_report.total) <= 1e-9
+
     def test_constant_population_zero(self):
         sig = ScalarTrajectory(dt=0.1, values=np.ones(100))
         report = nonmarkovianity_from_population(sig)
