@@ -243,6 +243,19 @@ def _output(path):
         yield fh
 
 
+def _check_output_dir(path) -> None:
+    """Reject an output path whose directory is missing before any work runs.
+
+    Nothing is created, so a failed run leaves no file behind; any other
+    error is reported when `_output` opens the file.
+    """
+    if path in (None, "-"):
+        return
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"cannot write output {path!r}: {parent!r} is not a directory")
+
+
 def _write(path, text: str) -> None:
     with _output(path) as fh:
         fh.write(text)
@@ -323,6 +336,8 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
         replace(cfg, width_ratio=float(r))
         for r in np.linspace(args.width_from, args.width_to, args.steps)
     ]
+    for p in points:  # the step cap, for every point before any of them runs
+        p.build_solver(p.build_model())
     workers = min(cfg.jobs, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -394,6 +409,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
+        _check_output_dir(args.out)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.out)
         if args.command == "measure":

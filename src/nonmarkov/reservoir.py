@@ -11,15 +11,20 @@ f(t) = coupling * cutoff^2 * Gamma(s+1) * exp(i*w0*t) / (1 + i*cutoff*t)^(s+1)
 integrate their linear interpolant times the oscillatory factor exactly,
 as one sum over the table's nodes weighted by the jumps in its slope (the
 linear case of the endpoint-corrected Fourier integrals in Numerical
-Recipes, 3rd ed., section 13.9). The sum costs O(n * nodes) for n samples,
-is vectorised over bounded blocks of (sample, node) pairs and takes
-y - sin(y) from its Taylor series at small phases, so it loses no digits
-to cancellation at small t.
+Recipes, 3rd ed., section 13.9). Each node's term is bounded for every t
+by |d_m| x_m^2 / 2 (its slope jump times its squared offset from the qubit
+frequency, halved), so the nodes with the smallest bounds are dropped while
+those bounds sum to at most _PRUNE_EPS * f(0), with _PRUNE_EPS = 2^-52 the
+double-precision unit roundoff. The sum over the kept nodes costs
+O(n * kept nodes) for n samples, is vectorised over bounded blocks of
+(sample, node) pairs and takes y - sin(y) from its Taylor series at small
+phases, so it loses no digits to cancellation at small t.
 """
 
 from __future__ import annotations
 
 import enum
+import logging
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -28,6 +33,8 @@ import numpy as np
 
 from . import constants
 from .errors import PhysicalityError, UnsupportedModelError
+
+log = logging.getLogger(__name__)
 
 
 class Regime(enum.Enum):
@@ -215,6 +222,10 @@ def _ohmic_correlation(model: OhmicFamily, t: np.ndarray) -> np.ndarray:
 _NODE_BLOCK_TIMES = 128
 _NODE_BLOCK_NODES = 1000
 
+# The tabulated node sum drops nodes whose terms are bounded, together and
+# for every t, by this fraction of f(0): the double-precision unit roundoff.
+_PRUNE_EPS = 2.0**-52
+
 # Taylor coefficients of y - sin(y) = sum_k c_k y^(2k+1), k = 1 .. 9 (y^3 .. y^19).
 _Y_MINUS_SIN_TAYLOR = tuple((-1) ** (k + 1) / math.factorial(2 * k + 1) for k in range(1, 10))
 
@@ -252,23 +263,30 @@ def _slope_jumps(w: np.ndarray, j: np.ndarray):
     return w[nonzero], jump[nonzero]
 
 
-def _tabulated_correlation(model: Tabulated, t: np.ndarray) -> np.ndarray:
-    """Exact Fourier integral of the linear interpolant, as one node sum.
+def _prune_nodes(x: np.ndarray, jumps: np.ndarray, f0: float):
+    """Which nodes to keep, and the bound on the terms of the dropped ones.
 
-    With x_m = w_m - w0, y_m = x_m t and the slope jumps d_m of
-    `_slope_jumps`, integrating by parts twice and cancelling the 1 - i y_m
-    terms (sum d_m = 0, sum d_m x_m = J_0 - J_{M-1}) gives
-    f(t) = t^-2 sum_m d_m [2 sin^2(y_m/2) - i (y_m - sin y_m)]
-           + t^-1 [J_{M-1} e(y_{M-1}) - J_0 e(y_0)],  e(y) = sin y - 2i sin^2(y/2),
-    with no cancellation left; f(0) is the trapezoid sum. The node sum runs
-    over blocks of at most _NODE_BLOCK_TIMES x _NODE_BLOCK_NODES terms.
+    2 sin^2(y/2) - i (y - sin y) = 1 - i y - e^{-iy} has modulus at most
+    y^2/2, so node m's term in the sum of `_tabulated_correlation` is at
+    most w_m = |d_m| x_m^2 / 2 for every t. The nodes with the smallest w_m
+    are dropped while their w_m sum to at most _PRUNE_EPS * f0. Returns a
+    mask over the nodes, so the kept ones stay in their original order, and
+    that sum.
     """
-    w = model.points[:, 0]
-    j = model.points[:, 1]
-    nodes, jumps = _slope_jumps(w, j)
-    x = nodes - model.qubit_frequency
-    zero = t == 0.0
-    tp = t[~zero]
+    bound = 0.5 * np.abs(jumps) * x * x
+    order = np.argsort(bound, kind="stable")
+    dropped = np.cumsum(bound[order])
+    n_drop = int(np.searchsorted(dropped, _PRUNE_EPS * f0, side="right"))
+    keep = np.ones(x.size, dtype=bool)
+    keep[order[:n_drop]] = False
+    return keep, float(dropped[n_drop - 1]) if n_drop else 0.0
+
+
+def _node_sum(tp: np.ndarray, x: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """sum_m d_m [2 sin^2(y_m/2) - i (y_m - sin y_m)], y_m = x_m t, at each t in `tp`.
+
+    Runs over blocks of at most _NODE_BLOCK_TIMES x _NODE_BLOCK_NODES terms.
+    """
     cos_part = np.zeros(tp.shape)  # sum_m d_m sin^2(y_m/2)
     sin_part = np.zeros(tp.shape)  # sum_m d_m (y_m - sin y_m)
     for a in range(0, tp.size, _NODE_BLOCK_TIMES):
@@ -281,12 +299,39 @@ def _tabulated_correlation(model: Tabulated, t: np.ndarray) -> np.ndarray:
             np.sin(y, out=y)
             np.square(y, out=y)
             cos_part[rows] += y @ jumps[cols]
+    return 2.0 * cos_part - 1j * sin_part
+
+
+def _tabulated_correlation(model: Tabulated, t: np.ndarray) -> np.ndarray:
+    """Exact Fourier integral of the linear interpolant, as one node sum.
+
+    With x_m = w_m - w0, y_m = x_m t and the slope jumps d_m of
+    `_slope_jumps`, integrating by parts twice and cancelling the 1 - i y_m
+    terms (sum d_m = 0, sum d_m x_m = J_0 - J_{M-1}) gives
+    f(t) = t^-2 sum_m d_m [2 sin^2(y_m/2) - i (y_m - sin y_m)]
+           + t^-1 [J_{M-1} e(y_{M-1}) - J_0 e(y_0)],  e(y) = sin y - 2i sin^2(y/2),
+    with no cancellation left; f(0) is the trapezoid sum. Node m's term in
+    the sum, t^-2 included, is at most |d_m| x_m^2 / 2 in modulus for every
+    t, and `_prune_nodes` drops nodes whose bounds sum to at most
+    _PRUNE_EPS * f(0), with _PRUNE_EPS = 2^-52, so no sample moves by more
+    than that. The edge terms and f(0) are never pruned.
+    """
+    w = model.points[:, 0]
+    j = model.points[:, 1]
+    f0 = 0.5 * np.dot(j[:-1] + j[1:], np.diff(w))
+    nodes, jumps = _slope_jumps(w, j)
+    x = nodes - model.qubit_frequency
+    keep, dropped = _prune_nodes(x, jumps, f0)
+    log.debug("tabulated correlation: %d of %d nodes kept, dropped terms <= %.3g f(0), %d samples",
+              np.count_nonzero(keep), keep.size, dropped / f0 if f0 else 0.0, t.size)
+    zero = t == 0.0
+    tp = t[~zero]
 
     def edge(jv, wv):
         y = (wv - model.qubit_frequency) * tp
         return jv * (np.sin(y) - 2j * np.sin(0.5 * y) ** 2)
 
     values = np.empty(t.shape, dtype=complex)
-    values[zero] = 0.5 * np.dot(j[:-1] + j[1:], np.diff(w))
-    values[~zero] = (2.0 * cos_part - 1j * sin_part) / tp**2 + (edge(j[-1], w[-1]) - edge(j[0], w[0])) / tp
+    values[zero] = f0
+    values[~zero] = _node_sum(tp, x[keep], jumps[keep]) / tp**2 + (edge(j[-1], w[-1]) - edge(j[0], w[0])) / tp
     return values

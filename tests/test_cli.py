@@ -293,6 +293,24 @@ class TestSweep:
         assert len(text.splitlines()) == steps + 1
         assert created == expected
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_step_cap_checked_before_any_point(self, tmp_path, monkeypatch, capsys, jobs):
+        # The last width is over the cap; no earlier point may run first.
+        started = []
+
+        def pool(*args, **kwargs):
+            started.append("pool")
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(cli, "_sweep_point", lambda cfg: started.append(cfg.width_ratio))
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        code, _ = run(tmp_path, "sweep", "--width-from", "0.1", "--width-to", "1e-6",
+                      "--steps", "3", "--jobs", jobs)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "exceeds the cap" in err
+        assert started == []
+
     def test_step_floor(self, tmp_path):
         code, _ = run(tmp_path, "sweep", "--width-from", "0.1", "--width-to", "1.0",
                       "--steps", "1")
@@ -531,6 +549,25 @@ class TestStepCap:
                 cfg.build_solver(model)
 
 
+class TestOutputDirectory:
+    @pytest.mark.parametrize(
+        "argv",
+        [["simulate", "--width-ratio", "0.5"], ["measure", "--width-ratio", "0.5"],
+         ["sweep", "--width-from", "0.1", "--width-to", "1", "--steps", "10"],
+         ["verify", "--width-ratio", "0.5", "--samples", "100"]],
+        ids=["simulate", "measure", "sweep", "verify"],
+    )
+    def test_missing_directory_rejected_before_work(self, tmp_path, monkeypatch, capsys, argv):
+        computed = []
+        monkeypatch.setattr(cli.RunConfig, "trajectory", lambda cfg: computed.append(cfg))
+        out = tmp_path / "missing" / "out.txt"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"nonmarkov: config error: cannot write output {str(out)!r}")
+        assert computed == [] and list(tmp_path.iterdir()) == []
+
+
 class TestDetunedMeasure:
     def test_no_resonant_regime_or_kappa(self, tmp_path):
         ini = tmp_path / "detuned.ini"
@@ -557,6 +594,28 @@ class TestLogging:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["regime"] == "markovian"
+
+    def test_nm_log_debug_reports_tabulated_nodes(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        w = np.linspace(0.0, 40.0, 201)
+        np.savetxt(tmp_path / "table.txt", np.column_stack([w, np.exp(-0.5 * ((w - 20.0) / 3.0) ** 2)]))
+        ini = tmp_path / "tabulated.ini"
+        ini.write_text(f"[model]\ntype = tabulated\ntable = {tmp_path / 'table.txt'}\n"
+                       "qubit_frequency = 20\n[solver]\ndt = 0.01\nt_max = 10\n")
+        out = tmp_path / "m.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "nonmarkov.cli", "measure", "--config", str(ini),
+             "--out", str(out)],
+            env=dict(os.environ, NM_LOG="debug"), capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        lines = [line for line in proc.stderr.splitlines() if "nodes kept" in line]
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("DEBUG nonmarkov.reservoir: tabulated correlation: ")
+        assert lines[0].endswith(" 1001 samples") and "nodes kept" not in out.read_text()
 
     @pytest.mark.parametrize(
         "ini_text, argv, code, prefix",

@@ -1,13 +1,17 @@
 """Tests for spectral models, regime classification, and correlation functions."""
 
+import logging
 import math
+import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
+from nonmarkov import reservoir
 from nonmarkov.errors import PhysicalityError, UnsupportedModelError
 from nonmarkov.reservoir import (
     CorrelationSamples,
@@ -253,6 +257,12 @@ def quad_tabulated(model, t):
 
 FOUR_POINTS = np.array([[0.5, 0.0], [1.0, 0.4], [1.8, 0.25], [3.0, 0.0]])
 
+# Hard edges: J is nonzero at both ends of the table. (points, w0) by name.
+HARD_EDGED_TABLES = {
+    "hard_edges": (np.array([[0.8, 0.3], [1.1, 0.5], [1.6, 0.2]]), 1.0),
+    "hard_edges_node_at_w0": (np.array([[0.8, 0.3], [1.6, 0.7]]), 1.6),
+}
+
 
 def benchmark_gaussian_table():
     """1000 points over [0, 200] of a Gaussian of weight 7.5 and width 3 at w0 = 100."""
@@ -319,11 +329,9 @@ class TestTabulatedCorrelation:
         [
             # a kink exactly at the qubit frequency: its y_m is 0 at every t
             (np.array([[0.5, 0.0], [1.2, 0.6], [2.0, 0.1], [2.5, 0.0]]), 1.2),
-            # hard edges: J is nonzero at both ends of the table
-            (np.array([[0.8, 0.3], [1.1, 0.5], [1.6, 0.2]]), 1.0),
-            (np.array([[0.8, 0.3], [1.6, 0.7]]), 1.6),
+            *HARD_EDGED_TABLES.values(),
         ],
-        ids=["node_at_w0", "hard_edges", "hard_edges_node_at_w0"],
+        ids=["node_at_w0", *HARD_EDGED_TABLES],
     )
     def test_matches_quadrature(self, points, w0):
         model = Tabulated(points=points, qubit_frequency=w0)
@@ -366,6 +374,91 @@ class TestTabulatedCorrelation:
         pts = np.array([[1.0, 0.2], [2.0, 0.2]])
         model = Tabulated(points=pts, qubit_frequency=1.5)
         assert spectral_density(model, np.array([0.5, 2.5])).tolist() == [0.0, 0.0]
+
+
+def mpmath_tabulated(model, t):
+    """f(t) from each segment's exact integral at 40 digits.
+
+    On a segment where J = j_a + s (u - x_a), the integral of J(u) e^{-iut}
+    has the antiderivative e^{-iut} [i J(u)/t + s/t^2]. Its cancellation at
+    small t costs far fewer than the 40 digits carried.
+    """
+    mp = mpmath.mpf
+    with mpmath.workdps(40):
+        t = mp(t)
+        w0 = mp(model.qubit_frequency)
+        total = mpmath.mpc(0)
+        for (wa, ja), (wb, jb) in zip(model.points[:-1], model.points[1:]):
+            xa, xb, ja, jb = mp(wa) - w0, mp(wb) - w0, mp(ja), mp(jb)
+            slope = (jb - ja) / (xb - xa)
+
+            def antiderivative(u, ju):
+                return mpmath.expj(-u * t) * (1j * ju / t + slope / t**2)
+
+            total += antiderivative(xb, jb) - antiderivative(xa, ja)
+        return complex(total)
+
+
+def trapezoid_f0(model):
+    w, j = model.points[:, 0], model.points[:, 1]
+    return 0.5 * float(np.dot(j[:-1] + j[1:], np.diff(w)))
+
+
+# The pruning bound, stated here independently of the library's constant.
+UNIT_ROUNDOFF = 2.0**-52
+
+
+class TestNodePruning:
+    """Nodes whose terms are bounded together by the unit roundoff of f(0) are dropped."""
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-3, 0.7, 2.0, 10.0])
+    def test_realised_error_within_stated_bound(self, t):
+        model = benchmark_gaussian_table()
+        f0 = trapezoid_f0(model)
+        got = correlation(model, dt=t, n=2).values[1]
+        assert abs(got - mpmath_tabulated(model, t)) <= (UNIT_ROUNDOFF + 1e-15) * f0
+
+    def test_gaussian_table_drops_most_nodes(self):
+        model = benchmark_gaussian_table()
+        f0 = trapezoid_f0(model)
+        nodes, jumps = reservoir._slope_jumps(model.points[:, 0], model.points[:, 1])
+        x = nodes - model.qubit_frequency
+        keep, dropped = reservoir._prune_nodes(x, jumps, f0)
+        assert keep.size == 1000 and np.count_nonzero(~keep) >= 700
+        bounds = 0.5 * np.abs(jumps) * x**2
+        assert dropped == pytest.approx(np.sum(bounds[~keep]), rel=1e-12, abs=0.0)
+        assert dropped <= UNIT_ROUNDOFF * f0
+
+    @pytest.mark.parametrize("name", ["ragged", *HARD_EDGED_TABLES])
+    def test_unprunable_tables_keep_every_node_in_order(self, monkeypatch, name):
+        model = ragged_table() if name == "ragged" else Tabulated(*HARD_EDGED_TABLES[name])
+        summed = []
+        node_sum = reservoir._node_sum
+
+        def recording_node_sum(tp, x, jumps):
+            summed.append((x, jumps))
+            return node_sum(tp, x, jumps)
+
+        monkeypatch.setattr(reservoir, "_node_sum", recording_node_sum)
+        correlation(model, dt=0.37, n=30)
+        nodes, jumps = reservoir._slope_jumps(model.points[:, 0], model.points[:, 1])
+        x = nodes - model.qubit_frequency
+        # Only a node at w0 is dropped: its term is exactly zero at every t.
+        kept = x != 0.0
+        [(x_summed, jumps_summed)] = summed
+        assert np.array_equal(x_summed, x[kept]) and np.array_equal(jumps_summed, jumps[kept])
+
+    def test_debug_line_per_tabulated_call(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="nonmarkov.reservoir"):
+            correlation(benchmark_gaussian_table(), dt=1e-3, n=11)
+            correlation(Lorentzian(1.0, 0.5), dt=1e-3, n=11)
+        [record] = caplog.records
+        match = re.fullmatch(r"tabulated correlation: (\d+) of (\d+) nodes kept, "
+                             r"dropped terms <= (\S+) f\(0\), (\d+) samples", record.getMessage())
+        assert match and record.levelno == logging.DEBUG
+        kept, total, bound, samples = match.groups()
+        assert int(kept) <= 300 and int(total) == 1000
+        assert 0.0 < float(bound) <= UNIT_ROUNDOFF and int(samples) == 11
 
 
 class TestCorrelationSamples:
