@@ -200,6 +200,9 @@ def load_config_file(path: str, command: str) -> dict:
             except ValueError:
                 expected = "an integer" if kind is int else "a number"
                 raise ConfigError(f"[{section}] {key} = {raw!r} is not {expected}") from None
+    if values.get("table"):
+        # A relative table path names a file next to the config file.
+        values["table"] = os.path.join(os.path.dirname(path), values["table"])
     return values
 
 

@@ -4,6 +4,14 @@ Only what the trace-distance and concurrence oracles need: Hermitian
 eigenvalues (LAPACK `eigvalsh`), Kronecker products, and the Wootters
 concurrence. Matrices are plain complex numpy arrays; :class:`DensityMatrix`
 wraps one with physicality checks.
+
+Each matrix is tested for Hermiticity once, where it enters: by
+:func:`hermitian_eigenvalues` or by the :class:`DensityMatrix` constructor.
+The constructor stores the symmetrized (a + a^H)/2, which is exactly
+Hermitian in IEEE arithmetic, as is the difference of two such matrices; so
+the PSD check, `eigenvalues` and `trace_distance` pass them to `eigvalsh`
+without testing them again. `kron` broadcasts one product per element,
+the same products `np.kron` forms, without its per-call overhead.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from . import constants
 from .errors import PhysicalityError
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 def _as_complex_matrix(m) -> np.ndarray:
@@ -27,18 +36,27 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
+def _check_hermitian(a: np.ndarray) -> None:
+    """Raise unless `a` is Hermitian within the shared tolerance.
+
+    `eigvalsh` reads one triangle only, so this test is what keeps a
+    non-Hermitian input from passing silently.
+    """
+    if not a.size:
+        return
+    dev = np.abs(a - a.conj().T).max()
+    if dev > constants.HERMITICITY_TOL * max(1.0, float(np.abs(a).max())):
+        raise PhysicalityError(f"matrix is not Hermitian (deviation {dev:.3e})")
+
+
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending, from LAPACK `eigvalsh`.
 
     Raises :class:`PhysicalityError` if the input deviates from Hermiticity
-    by more than the shared tolerance; `eigvalsh` reads one triangle only,
-    so the check is what keeps a non-Hermitian input from passing silently.
+    by more than the shared tolerance.
     """
     a = _as_complex_matrix(m)
-    dev = np.max(np.abs(a - a.conj().T)) if a.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-    if dev > constants.HERMITICITY_TOL * scale:
-        raise PhysicalityError(f"matrix is not Hermitian (deviation {dev:.3e})")
+    _check_hermitian(a)
     return np.linalg.eigvalsh(a)
 
 
@@ -56,14 +74,12 @@ class DensityMatrix:
         a = _as_complex_matrix(self.matrix)
         if a.shape[0] not in (2, 4):
             raise PhysicalityError(f"only 2x2 and 4x4 states supported, got {a.shape}")
-        dev = np.max(np.abs(a - a.conj().T))
-        if dev > constants.HERMITICITY_TOL * max(1.0, float(np.max(np.abs(a)))):
-            raise PhysicalityError(f"density matrix not Hermitian (deviation {dev:.3e})")
+        _check_hermitian(a)
         sym = 0.5 * (a + a.conj().T)
         tr = sym.trace().real
         if abs(tr - 1.0) > constants.TRACE_TOL:
             raise PhysicalityError(f"trace {tr!r} differs from 1 beyond tolerance")
-        lo = hermitian_eigenvalues(sym)[0]
+        lo = np.linalg.eigvalsh(sym)[0]
         if lo < constants.PSD_EIGENVALUE_FLOOR:
             raise PhysicalityError(f"negative eigenvalue {lo:.3e} beyond tolerance")
         sym.setflags(write=False)
@@ -74,22 +90,23 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return hermitian_eigenvalues(self.matrix)
+        return np.linalg.eigvalsh(self.matrix)
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """(1/2) tr|a - b|: distinguishability of two states, in [0, 1]."""
     if a.dim != b.dim:
         raise PhysicalityError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    lam = hermitian_eigenvalues(a.matrix - b.matrix)
+    lam = np.linalg.eigvalsh(a.matrix - b.matrix)
     return 0.5 * float(np.sum(np.abs(lam)))
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices."""
+    """Kronecker product of two square matrices, element for element `np.kron`'s."""
     am = _as_complex_matrix(a)
     bm = _as_complex_matrix(b)
-    return np.kron(am, bm)
+    n, m = am.shape[0], bm.shape[0]
+    return (am[:, None, :, None] * bm[None, :, None, :]).reshape(n * m, n * m)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -100,8 +117,7 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     """
     if rho.dim != 4:
         raise PhysicalityError("concurrence requires a 4x4 state")
-    yy = np.kron(_SIGMA_Y, _SIGMA_Y)
-    tilde = yy @ rho.matrix.conj() @ yy
+    tilde = _SIGMA_YY @ rho.matrix.conj() @ _SIGMA_YY
     lam = np.linalg.eigvals(rho.matrix @ tilde)
     # The spectrum of rho*rho_tilde is real nonnegative; discard the
     # tiny imaginary/negative parts introduced by roundoff.

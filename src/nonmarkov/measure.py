@@ -482,6 +482,13 @@ class BruteForceResult:
     grid_density: int
 
 
+def _distance_term(x: float, a2, b2, out: np.ndarray) -> np.ndarray:
+    """x sqrt(x^2 a2 + b2) written into `out`, rounded as the expression is."""
+    np.add(x * x * a2, b2, out=out)
+    np.sqrt(out, out=out)
+    return np.multiply(out, x, out=out)
+
+
 def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForceResult:
     """Grid search over parameterized pairs maximizing the backflow sum.
 
@@ -490,6 +497,10 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     distance signal shares the extremum times of |b|; the grid is scored
     from the refined |b| extrema and the winner re-evaluated with the full
     per-pair extremum detection.
+
+    Each interval adds hi sqrt(hi^2 A + B) - lo sqrt(lo^2 A + B) to a pair's
+    score. A minimum of exactly zero makes the second term exactly 0.0, and
+    x - 0.0 is x, so that term is skipped with no change to any bit.
     """
     if grid_density < 3:
         raise PhysicalityError("grid_density must be at least 3")
@@ -501,15 +512,21 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     # at grid_density^3; its axes are (beta radius, mu, nu radius).
     mu = level[None, :, None]
     nu = radius[None, None, :] * np.sqrt(mu * (1.0 - mu))
+    shape = (grid_density,) * 3
+    b2, score, term, low = (np.empty(shape) for _ in range(4))
     best_score = -np.inf
     for al in level:
         beta = radius[:, None, None] * np.sqrt(al * (1.0 - al))
         a2 = (al - mu) ** 2
-        b2 = (beta - nu) ** 2
-        score = np.zeros(b2.shape)
+        np.subtract(beta, nu, out=b2)
+        np.multiply(b2, b2, out=b2)
+        score.fill(0.0)
         for iv in intervals:
             hi, lo = iv.value_at_max, iv.value_at_min
-            score += hi * np.sqrt(hi * hi * a2 + b2) - lo * np.sqrt(lo * lo * a2 + b2)
+            _distance_term(hi, a2, b2, out=term)
+            if lo != 0.0:
+                np.subtract(term, _distance_term(lo, a2, b2, out=low), out=term)
+            score += term
         flat = int(np.argmax(score))
         if score.flat[flat] > best_score:  # strict: the first index in C order wins ties
             best_score = score.flat[flat]

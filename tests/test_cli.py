@@ -354,6 +354,26 @@ class TestConfigHandling:
         _, from_flags = run(tmp_path, "measure", "--width-ratio", "0.5", "--dt", "0.001")
         assert json.loads(from_file)["n_single"] == json.loads(from_flags)["n_single"]
 
+    def test_relative_table_path_is_read_next_to_config(self, tmp_path, monkeypatch):
+        w = np.linspace(0.0, 40.0, 201)
+        np.savetxt(tmp_path / "t.txt", np.column_stack([w, np.exp(-0.5 * ((w - 20.0) / 3.0) ** 2)]))
+        rest = "qubit_frequency = 20\n[solver]\ndt = 0.01\nt_max = 10\n"
+        (tmp_path / "t.ini").write_text(f"[model]\ntype = tabulated\ntable = t.txt\n{rest}")
+        (tmp_path / "abs.ini").write_text(
+            f"[model]\ntype = tabulated\ntable = {tmp_path / 't.txt'}\n{rest}"
+        )
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, relative = run(work, "measure", "--config", "../t.ini")
+        assert code == EXIT_OK
+        code, absolute = run(work, "measure", "--config", str(tmp_path / "abs.ini"))
+        assert code == EXIT_OK
+        relative, absolute = json.loads(relative), json.loads(absolute)
+        assert relative.pop("config")["model"]["table"] == "../t.txt"
+        assert absolute.pop("config")["model"]["table"] == str(tmp_path / "t.txt")
+        assert relative == absolute
+
     def test_unknown_key_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[model]\nwidth_ratio = 0.5\nunknown_knob = 3\n")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nonmarkov import constants
 from nonmarkov.errors import PhysicalityError
 from nonmarkov.linalg import (
     DensityMatrix,
@@ -30,6 +31,17 @@ def random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return DensityMatrix(rho / rho.trace().real)
+
+
+def perturbed_density(rng, dim):
+    """A density matrix plus non-Hermitian noise that the constructor still accepts.
+
+    The off-diagonal noise and the imaginary diagonal noise keep
+    |M - M^dagger| below HERMITICITY_TOL and leave the trace unchanged.
+    """
+    noise = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
+    noise[np.diag_indices(dim)] = 1j * noise.imag.diagonal()
+    return random_density(rng, dim).matrix + 0.3 * constants.HERMITICITY_TOL * noise
 
 
 class TestHermitianEigenvalues:
@@ -83,6 +95,23 @@ class TestDensityMatrix:
         with pytest.raises(PhysicalityError):
             DensityMatrix(m)
 
+    def test_stored_matrix_is_exactly_hermitian(self):
+        # The PSD check, eigenvalues() and trace_distance rely on this: they
+        # pass the stored matrix, or a difference of two, to eigvalsh untested.
+        rng = np.random.default_rng(15)
+        for i in range(1000):
+            raw = perturbed_density(rng, (2, 4)[i % 2])
+            assert not np.array_equal(raw, raw.conj().T)
+            m = DensityMatrix(raw).matrix
+            assert np.array_equal(m, m.conj().T)
+
+    def test_eigenvalues_match_checked_route(self):
+        rng = np.random.default_rng(16)
+        for i in range(200):
+            raw = perturbed_density(rng, (2, 4)[i % 2])
+            sym = 0.5 * (raw + raw.conj().T)
+            assert np.array_equal(DensityMatrix(raw).eigenvalues(), hermitian_eigenvalues(sym))
+
     def test_tiny_negative_eigenvalue_tolerated(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
         assert rho.dim == 2
@@ -108,6 +137,15 @@ class TestTraceDistance:
         b = DensityMatrix(np.eye(4, dtype=complex) / 4)
         with pytest.raises(PhysicalityError):
             trace_distance(a, b)
+
+    def test_matches_checked_route(self):
+        rng = np.random.default_rng(17)
+        for i in range(200):
+            dim = (2, 4)[i % 2]
+            raw_a, raw_b = perturbed_density(rng, dim), perturbed_density(rng, dim)
+            diff = 0.5 * (raw_a + raw_a.conj().T) - 0.5 * (raw_b + raw_b.conj().T)
+            want = 0.5 * float(np.sum(np.abs(hermitian_eigenvalues(diff))))
+            assert trace_distance(DensityMatrix(raw_a), DensityMatrix(raw_b)) == want
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(10)
@@ -150,6 +188,14 @@ class TestKron:
         expected = np.zeros((4, 4))
         expected[1, 1] = 1.0  # |eg> in the (ee, eg, ge, gg) ordering
         assert np.array_equal(out, expected.astype(complex))
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (2, 2), (2, 4), (4, 2), (4, 4)])
+    def test_equals_numpy_kron_exactly(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        for _ in range(20):
+            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            b = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            assert np.array_equal(kron(a, b), np.kron(a, b))
 
     def test_mixed_product_property(self):
         rng = np.random.default_rng(13)

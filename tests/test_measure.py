@@ -403,6 +403,33 @@ def full_grid_best(b_traj, density):
     return (float(level[idx[0]]), complex(beta[idx]), float(level[idx[2]]), complex(nu[idx]))
 
 
+def reference_brute_force(b_traj, density):
+    """The pair search scoring every interval's full expression, one alpha slice at a time."""
+    intervals = find_extrema(optimal_distance_trajectory(b_traj))
+    level = np.linspace(0.0, 1.0, density)
+    radius = np.linspace(-1.0, 1.0, density)
+    mu = level[None, :, None]
+    nu = radius[None, None, :] * np.sqrt(mu * (1.0 - mu))
+    best_score = -np.inf
+    for al in level:
+        beta = radius[:, None, None] * np.sqrt(al * (1.0 - al))
+        a2 = (al - mu) ** 2
+        b2 = (beta - nu) ** 2
+        score = np.zeros(b2.shape)
+        for iv in intervals:
+            hi, lo = iv.value_at_max, iv.value_at_min
+            score += hi * np.sqrt(hi * hi * a2 + b2) - lo * np.sqrt(lo * lo * a2 + b2)
+        flat = int(np.argmax(score))
+        if score.flat[flat] > best_score:
+            best_score = score.flat[flat]
+            j, k, m = np.unravel_index(flat, score.shape)
+            best_pair = StatePair(
+                first=QubitInitialState(float(al), complex(beta[j, 0, 0])),
+                second=QubitInitialState(float(level[k]), complex(nu[0, k, m])),
+            )
+    return best_pair, blp_from_trajectory(pair_distance_trajectory(b_traj, best_pair)).total
+
+
 class TestBruteForce:
     def test_converges_to_single_measure(self):
         traj = lorentzian_trajectory(0.1)
@@ -430,6 +457,44 @@ class TestBruteForce:
         pair = brute_force_max(traj, grid_density=density).best_pair
         got = (pair.first.alpha, pair.first.beta, pair.second.alpha, pair.second.beta)
         assert got == full_grid_best(traj, density)
+
+    @pytest.mark.parametrize(
+        "width, t_max, density",
+        [(0.1, None, 9), (0.1, None, 21), (0.1, None, 8), (0.5, 60.0, 9), (0.5, 60.0, 8),
+         (10.0, 20.0, 9)],
+    )
+    def test_matches_reference_search(self, width, t_max, density):
+        traj = lorentzian_trajectory(width, t_max=t_max)
+        result = brute_force_max(traj, grid_density=density)
+        assert (result.best_pair, result.best_total) == reference_brute_force(traj, density)
+
+    @pytest.mark.parametrize("density", [8, 9])
+    def test_matches_reference_search_on_raised_minima(self, density):
+        # Minima near 0.2 make the excited/ground pair beat |+>/|->, so the
+        # winner depends on every minimum term.
+        t = 0.01 * np.arange(6001)
+        values = 0.6 + 0.4 * np.cos(t) * np.exp(-0.05 * t)
+        values[0] = 1.0
+        traj = AmplitudeTrajectory(dt=0.01, values=values)
+        result = brute_force_max(traj, grid_density=density)
+        assert abs(result.best_pair.first.alpha - result.best_pair.second.alpha) == 1.0
+        assert (result.best_pair, result.best_total) == reference_brute_force(traj, density)
+
+    def test_width_01_has_zero_and_nonzero_minima(self):
+        # Both branches of the scoring loop run on this trajectory: the
+        # minimum term is skipped at exact zeros and subtracted elsewhere.
+        lows = [iv.value_at_min for iv in find_extrema(
+            optimal_distance_trajectory(lorentzian_trajectory(0.1)))]
+        assert 0.0 in lows and any(v != 0.0 for v in lows)
+
+    def test_distance_term_rounds_as_the_expression(self):
+        rng = np.random.default_rng(18)
+        a2 = rng.uniform(size=(1, 7, 1))
+        b2 = rng.uniform(size=(7, 7, 7))
+        out = np.empty(b2.shape)
+        for x in rng.uniform(size=20):
+            got = measure._distance_term(x, a2, b2, out=out)
+            assert got is out and np.array_equal(got, x * np.sqrt(x * x * a2 + b2))
 
     def test_grid_density_floor(self):
         traj = lorentzian_trajectory(0.5, t_max=60.0)
