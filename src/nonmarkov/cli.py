@@ -14,11 +14,13 @@ import argparse
 import json
 import logging
 import math
+import mmap
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -47,6 +49,8 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
+log = logging.getLogger(__name__)
+
 
 class ConfigError(Exception):
     pass
@@ -70,8 +74,10 @@ _READS = {
                "run": {"seed", "samples"}},
 }
 
-# simulate formats and writes its CSV this many rows at a time.
+# simulate writes its CSV this many rows at a time, and formats the cells of
+# a quarter block at a time, so that the formatter's temporaries stay small.
 _CSV_BLOCK = 4096
+_CELL_ROWS = 1024
 
 
 @dataclass
@@ -264,23 +270,173 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
-def _cells(col: np.ndarray) -> list[str]:
-    """`_fmt` of every value in `col`, formatted by one `%` operation."""
-    return (("%.12g\n" * col.size) % tuple(col.tolist())).splitlines()
+# A formatted cell is five little-endian 8-byte words: the sign and a "0.000"
+# prefix, the twelve digits each followed by a dot slot, and the exponent,
+# whose last byte the writer sets to the separator. Unused bytes are NUL,
+# and each block drops them after joining its rows.
+_E_LO, _E_HI = -325, 308  # e = -325, below the least subnormal's -324, is for 0, nan, inf
 
 
-def _write_signal_rows(fh, t, b, abs_b, pop, d_two, conc_phi) -> None:
+def _words(chars: np.ndarray) -> np.ndarray:
+    """Rows of 8 bytes as little-endian 64-bit words."""
+    return np.ascontiguousarray(chars, dtype=np.uint8).view("<u8")[..., 0]
+
+
+def _cell_tables() -> SimpleNamespace:
+    """The lookup tables of `_format_cells`, indexed by e - _E_LO unless noted.
+
+    Built by each writer call, in about 2 ms: commands that write no CSV
+    never pay for them.
+    """
+    e = np.arange(_E_LO, _E_HI + 1)
+    k = 11 - e
+    pow10 = np.array([float(f"1e{j}") for j in range(-150, 170)])  # correctly rounded
+    # By chunk value: four digits "dddd" as "d.d.d.d.", from which a mask keeps
+    # the digits and the one dot.
+    d = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+    c = np.full((d.shape[0], 8), ord("."), np.uint8)
+    c[:, 0::2] = ord("0") + d
+    digits = _words(c)
+    # By chunk value: its digits up to the last nonzero one. Offset by the
+    # chunk's place, their maximum over m's chunks is m's significant digits.
+    n = 4 - np.cumprod(d[:, ::-1] == 0, axis=1, dtype=np.int8).sum(axis=1, dtype=np.int8)
+    significant = [np.where(n > 0, n + 4 * i, 0).astype(np.int8) for i in range(3)]
+    # "e+XX" or "e-XXX" outside fixed notation, -4 <= e < 12.
+    fixed = (e >= -4) & (e < 12)
+    ae = np.abs(e)
+    three = ae >= 100
+    c = np.zeros((e.size, 8), np.uint8)
+    c[:, 0] = ord("e")
+    c[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    c[:, 2] = ord("0") + np.where(three, ae // 100, ae // 10 % 10)
+    c[:, 3] = ord("0") + np.where(three, ae // 10 % 10, ae % 10)
+    c[:, 4] = np.where(three, ord("0") + ae % 10, 0)
+    c[fixed | (e == _E_LO)] = 0
+    exponent = _words(c)
+    # "0." and up to three zeros for -4 <= e < 0, after the sign's byte.
+    lead = fixed & (e < 0)
+    c = np.zeros((e.size, 8), np.uint8)
+    c[lead, 1:3] = (ord("0"), ord("."))
+    c[lead, 3:6] = np.where(np.arange(3) < -1 - e[lead, None], ord("0"), 0)
+    # The dot follows digit q: q = e in fixed notation, 0 in exponent notation
+    # and -1 (none) after a "0.000" prefix. Digits up to max(q + 1, significant)
+    # are kept, and the dot only if a digit follows it. keep[i] masks digit
+    # word i, in row 13 (q + 1) + significant.
+    q = np.where(fixed, np.where(e < 0, -1, e), 0)
+    q1, sig, slot = np.arange(13)[:, None, None], np.arange(13)[None, :, None], np.arange(24)
+    keep = (slot % 2 == 0) & (slot // 2 < np.maximum(q1, sig)) | (slot == 2 * q1 - 1) & (sig > q1)
+    return SimpleNamespace(
+        pow_a=pow10[k // 2 + 150], pow_b=pow10[k - k // 2 + 150], digits=digits,
+        significant=significant, exponent=exponent, prefix=_words(c),
+        dot_row=((q + 1) * 13).astype(np.int16),
+        keep=[np.ascontiguousarray(w) for w in _words(np.where(keep, 255, 0).reshape(-1, 3, 8)).T],
+    )
+
+
+# The distinct column behind each CSV field: d_opt repeats abs_b, and d_eg
+# and conc_psi repeat pop_e. The separator that ends each field.
+_CSV_FIELDS = np.array([0, 1, 2, 3, 4, 3, 4, 5, 4, 6])
+_CSV_ENDS = np.array([ord(",")] * 9 + [ord("\n")], dtype="<u8") << np.uint64(56)
+
+
+def _format_cells(v: np.ndarray, out: np.ndarray, tables: SimpleNamespace) -> int:
+    """Write `_fmt` of each value of `v` into `out` as five NUL-padded words.
+
+    `tables` is `_cell_tables()`. `v` and `out`, of shape v.shape + (5,),
+    are C-contiguous. The last
+    byte of each cell is left NUL for a separator. Returns the number of
+    cells that Python formatted.
+
+    For a finite, nonzero x with e = floor(log10|x|) and k = 11 - e, the
+    twelve digits are m = rint(y), y = |x| * P[k//2] * P[k - k//2], where
+    each P[j] is 10**j correctly rounded. Those are four roundings, each
+    within 2**-53 relative, so |y - |x| * 10**k| < 2**-11 while y < 2**40.
+    A cell takes this path only if y >= 1e11 and m < 1e12, so that log10
+    gave the right e and rounding did not carry into a thirteenth digit,
+    and if y lies more than 2**-9 from a half-integer, so that the exact
+    value rounds to the same m. Python formats every other cell, NaN and
+    +-inf among them; zeros are written as "0" or "-0".
+    """
+    v = v.reshape(-1)
+    out = out.reshape(-1, 5)
+    y = np.abs(v)
+    with np.errstate(divide="ignore", invalid="ignore"):  # zeros and non-finite values
+        x = np.log10(y)
+        np.floor(x, out=x)
+        x = x.astype(np.intp)
+        np.clip(x, _E_LO, _E_HI, out=x)
+        x -= _E_LO
+        y *= tables.pow_a[x]
+        y *= tables.pow_b[x]
+        m = np.rint(y)
+        fast = (y >= 1e11) & (m < 1e12)
+        y -= m
+        np.abs(y, out=y)
+        fast &= y < 0.5 - 2.0**-9
+    del y
+    m[~fast] = 0.0  # zeros print as "0"; Python writes over the other slow cells
+    # Three 4-digit chunks. Each quotient is exact or falls short of the next
+    # integer by far more than its rounding, so truncation is floor.
+    work = m / 1e8
+    hi = work.astype(np.intp)
+    m -= np.multiply(hi, 1e8, out=work)
+    np.divide(m, 1e4, out=work)
+    mid = work.astype(np.intp)
+    m -= np.multiply(mid, 1e4, out=work)
+    lo = m.astype(np.intp)
+    del work, m
+    keep = tables.significant[0][hi]
+    np.maximum(keep, tables.significant[1][mid], out=keep)
+    np.maximum(keep, tables.significant[2][lo], out=keep)
+    keep = tables.dot_row[x] + keep
+    np.bitwise_or(tables.prefix[x], np.signbit(v) * np.uint64(ord("-")), out=out[:, 0])
+    for i, chunk in enumerate((hi, mid, lo)):
+        np.bitwise_and(tables.digits[chunk], tables.keep[i][keep], out=out[:, 1 + i])
+    out[:, 4] = tables.exponent[x]
+    slow = np.flatnonzero(~fast & (v != 0))
+    if slow.size:
+        text = b"".join((b"%.12g" % c).ljust(40, b"\0") for c in v[slow].tolist())
+        out[slow] = np.frombuffer(text, "<u8").reshape(-1, 5)
+    return slow.size
+
+
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous memory map of its own, unmapped once unused."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+
+
+def _write_signal_rows(fh, t, b, abs_b, pop, d_two, conc_phi) -> tuple[int, int]:
     """Write the simulate CSV rows block by block; each distinct column is formatted once.
 
-    d_opt repeats abs_b, and d_eg and conc_psi repeat pop. Only one block
-    of rows is held at a time, so memory does not grow with the row count.
+    Each block's rows are fixed-width, NUL-padded bytes, which one
+    `translate` per block turns into CSV text. The buffers are sized for
+    one block, so memory does not grow with the row count. They are
+    memory maps, outside the malloc heap: allocated from the heap, like
+    whole-block formatter temporaries, they changed its layout so that a
+    later 31 MB array of the same process was mapped on top of a grown
+    heap, and the closed_form benchmark's peak RSS read 123 MB instead of
+    112 MB. Returns the bytes written and the cells Python formatted.
     """
+    columns = (t, b.real, b.imag, abs_b, pop, d_two, conc_phi)
+    block = _mapped((_CSV_BLOCK, len(columns)), np.float64)
+    cells = _mapped((_CSV_BLOCK, len(columns), 5), "<u8")
+    rows = _mapped((_CSV_BLOCK, _CSV_FIELDS.size, 5), "<u8")
+    tables = _cell_tables()
+    written = slow = 0
     for start in range(0, t.size, _CSV_BLOCK):
-        block = slice(start, start + _CSV_BLOCK)
-        tc, rc, ic, ac, pc, dc, cc = (_cells(col[block]) for col in
-                                      (t, b.real, b.imag, abs_b, pop, d_two, conc_phi))
-        rows = zip(tc, rc, ic, ac, pc, ac, pc, dc, pc, cc)
-        fh.write("\n".join(map(",".join, rows)) + "\n")
+        n = min(_CSV_BLOCK, t.size - start)
+        for j, col in enumerate(columns):
+            block[:n, j] = col[start:start + n]
+        for part in range(0, n, _CELL_ROWS):
+            end = min(n, part + _CELL_ROWS)
+            slow += _format_cells(block[part:end], cells[part:end], tables)
+        np.take(cells[:n], _CSV_FIELDS, axis=1, out=rows[:n], mode="clip")
+        rows[:n, :, 4] |= _CSV_ENDS
+        text = rows[:n].tobytes().translate(None, b"\0")
+        fh.write(text.decode("ascii"))
+        written += len(text)
+    return written, slow
 
 
 def cmd_simulate(cfg: RunConfig, out) -> int:
@@ -288,9 +444,13 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
     b = traj.values
     abs_b = optimal_distance_trajectory(traj).values
     pop, conc_phi = concurrence_bell(b)
+    header = "t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi\n"
     with _output(out) as fh:
-        fh.write("t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi\n")
-        _write_signal_rows(fh, traj.times(), b, abs_b, pop, trace_distance_two(b), conc_phi)
+        fh.write(header)
+        written, slow = _write_signal_rows(fh, traj.times(), b, abs_b, pop,
+                                           trace_distance_two(b), conc_phi)
+    log.debug("simulate: %d rows, %d bytes written, %d of %d cells formatted by Python",
+              b.size, len(header) + written, slow, 7 * b.size)
     return EXIT_OK
 
 

@@ -140,11 +140,19 @@ def kraus_pair(b: complex) -> tuple[np.ndarray, np.ndarray]:
     return k0, k1
 
 
-def evolve_single(state: QubitInitialState, b: complex) -> DensityMatrix:
-    """Apply the channel: rho_ee -> alpha|b|^2, rho_eg -> beta*b."""
+def _evolved(state: QubitInitialState, b: complex) -> np.ndarray:
+    """The channel's 2x2 output, rho_ee -> alpha|b|^2 and rho_eg -> beta*b, unchecked.
+
+    It is exactly Hermitian, so `DensityMatrix` stores it unchanged.
+    """
     pop = state.alpha * _population(b)
     coh = state.beta * complex(b)
-    return DensityMatrix(np.array([[pop, coh], [np.conj(coh), 1.0 - pop]], dtype=complex))
+    return np.array([[pop, coh], [np.conj(coh), 1.0 - pop]], dtype=complex)
+
+
+def evolve_single(state: QubitInitialState, b: complex) -> DensityMatrix:
+    """Apply the channel: rho_ee -> alpha|b|^2, rho_eg -> beta*b."""
+    return DensityMatrix(_evolved(state, b))
 
 
 def trace_distance_single(pair: StatePair, b: complex | np.ndarray) -> float | np.ndarray:
@@ -209,7 +217,8 @@ def evolve_two_qubit(
         return DensityMatrix(out)
     if b_state is None:
         raise PhysicalityError("product input needs two single-qubit states")
-    return DensityMatrix(kron(evolve_single(a, b).matrix, evolve_single(b_state, b).matrix))
+    # One check, on the 4x4 product: each factor is a valid state by construction.
+    return DensityMatrix(kron(_evolved(a, b), _evolved(b_state, b)))
 
 
 def trace_distance_two(b: complex | np.ndarray) -> float | np.ndarray:

@@ -1,6 +1,9 @@
 """Tests for the command-line front end: outputs, determinism, exit codes."""
 
+import io
 import json
+import logging
+import re
 import tracemalloc
 
 import numpy as np
@@ -147,6 +150,41 @@ class TestBlockWriter:
         if model == "detuned":
             im_b = [line.split(",")[2] for line in text.splitlines()[2:]]
             assert all(cell.startswith("-") and float(cell) < 0 for cell in im_b)
+
+    def test_cells_match_percent_g_formatter(self):
+        """Seeded fuzz of every cell path against Python's own `%.12g`."""
+        rng = np.random.default_rng(17)
+        ties = rng.integers(10**11, 10**12, 3000) * 10 + 5  # 13 digits ending in 5
+        neighbours = []
+        for direction in (np.inf, 0.0):
+            x = np.array([1e-5, 1e-4, 1e11, 1e12])
+            for _ in range(4):
+                neighbours.append(x)
+                x = np.nextafter(x, direction)
+        values = np.concatenate([
+            rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),  # any bits
+            np.ldexp(rng.uniform(1, 2, 2098), np.arange(-1074, 1024)),  # every exponent
+            [float(f"{d}e{x}") for d, x in zip(ties.tolist(), rng.integers(-30, 30, 3000).tolist())],
+            [float(f"9.9999999999996e{x}") for x in range(-310, 300, 3)],  # round up to 1e{x+1}
+            *neighbours,
+            [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308, 0.1, 1.0, 123456789012.0, 999999999999.5, 0.00012345],
+            1e-3 * np.arange(5000),
+            rng.uniform(-1, 1, 5000) * 10.0 ** rng.integers(-12, 14, 5000),
+        ])
+        values = np.concatenate([values, -values])
+        # Each of the seven distinct columns sees the values in another order.
+        cols = [np.roll(values, 997 * j) for j in range(7)]
+        b = np.empty(values.size, complex)
+        b.real, b.imag = cols[1], cols[2]
+        sink = io.StringIO()
+        cli._write_signal_rows(sink, cols[0], b, *cols[3:])
+        fields = [cols[j] for j in (0, 1, 2, 3, 4, 3, 4, 5, 4, 6)]
+        got = sink.getvalue().splitlines()
+        assert len(got) == values.size
+        bad = [(i, line) for i, line in enumerate(got)
+               if line != ",".join("%.12g" % f[i] for f in fields)]
+        assert not bad, f"{len(bad)} rows differ, first {bad[:3]}"
 
     def test_memory_does_not_grow_with_rows(self):
         rng = np.random.default_rng(3)
@@ -614,6 +652,20 @@ class TestLogging:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["regime"] == "markovian"
+
+    def test_simulate_logs_rows_bytes_and_python_cells(self, tmp_path, caplog):
+        """The debug line's counts, and at most 1 % of a width-0.1 trajectory's cells to Python."""
+        caplog.set_level(logging.DEBUG, logger="nonmarkov.cli")
+        code, text = run(tmp_path, "simulate", "--width-ratio", "0.1", "--t-max", "60")
+        assert code == EXIT_OK
+        lines = [r.getMessage() for r in caplog.records if r.name == "nonmarkov.cli"]
+        assert len(lines) == 1, lines
+        got = re.fullmatch(r"simulate: (\d+) rows, (\d+) bytes written, "
+                           r"(\d+) of (\d+) cells formatted by Python", lines[0])
+        rows, size, slow, cells = map(int, got.groups())
+        assert rows == text.count("\n") - 1 == 60_001 and size == len(text.encode())
+        assert cells == 7 * rows and 0 < slow <= cells // 100
+        assert "formatted" not in text
 
     def test_nm_log_debug_reports_tabulated_nodes(self, tmp_path):
         import os

@@ -26,7 +26,7 @@ from nonmarkov.dynamics import (
     trace_distance_two,
 )
 from nonmarkov.errors import PhysicalityError
-from nonmarkov.linalg import DensityMatrix, trace_distance, wootters_concurrence
+from nonmarkov.linalg import DensityMatrix, kron, trace_distance, wootters_concurrence
 from nonmarkov.measure import sample_state_pairs
 
 FIRST_MAX_AMPLITUDE = float(np.exp(-np.pi * 0.1 / np.sqrt(0.19)))  # width ratio 0.1
@@ -194,6 +194,18 @@ class TestTwoQubit:
     def test_joint_requires_4x4(self):
         with pytest.raises(PhysicalityError):
             evolve_two_qubit(density_matrix(plus_state()), None, 0.5)
+
+    def test_product_input_equals_three_constructor_route(self):
+        """One 4x4 check gives the bits of checking both 2x2 factors and then their kron."""
+        alpha, beta, mu, nu = sample_state_pairs(2000, seed=12)
+        rng = np.random.default_rng(13)
+        bs = rng.uniform(0, 1, 2000) * np.exp(2j * np.pi * rng.uniform(size=2000))
+        bs[:2] = (1.0, 0.0)
+        for a, be, m, n, b in zip(alpha, beta, mu, nu, bs):
+            first, second = QubitInitialState(a, be), QubitInitialState(m, n)
+            old = DensityMatrix(kron(evolve_single(first, b).matrix,
+                                     evolve_single(second, b).matrix))
+            assert np.array_equal(evolve_two_qubit(first, second, b).matrix, old.matrix)
 
 
 class TestTraceDistanceTwo:
