@@ -4,8 +4,8 @@ Units: gamma0 = 1 defines the rate unit, so `--width-ratio` is the
 spectral width over gamma0 and times are in 1/gamma0. Configuration comes
 from an INI-style file (sections [model], [solver], [measure], [run]) with
 flags taking precedence; each subcommand rejects the keys it does not
-read. Exit codes: 0 success, 1 configuration error, 2 numerical failure,
-3 verification failure. NM_LOG sets log verbosity.
+read. Exit codes: 0 success, 1 configuration error or out of memory,
+2 numerical failure, 3 verification failure. NM_LOG sets log verbosity.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ class RunConfig:
         model = self.build_model()
         return compute_trajectory(model, self.build_solver(model))
 
-    def effective(self) -> dict:
+    def effective(self, command: str) -> dict:
+        """The settings `command` reads, as INI sections: written back, they load for it."""
         out = {
             "model": {"type": self.model_type, "gamma0": self.gamma0},
             "solver": {"method": self.method, "dt": self.dt, "t_max": self.t_max},
@@ -167,7 +168,9 @@ class RunConfig:
                                 cutoff=self.cutoff, qubit_frequency=self.qubit_frequency)
         else:
             out["model"].update(table=self.table, qubit_frequency=self.qubit_frequency)
-        return out
+        reads = _READS[command]
+        return {section: {key: value for key, value in keys.items() if key in reads[section]}
+                for section, keys in out.items() if section in reads}
 
 
 _INT_KEYS = {"seed", "samples", "jobs"}
@@ -463,7 +466,7 @@ def _measure_bundle(cfg: RunConfig) -> dict:
     # The reports carry regime and kappa only for a resonant Lorentzian.
     single = n_single.to_dict()
     return {
-        "config": cfg.effective(),
+        "config": cfg.effective("measure"),
         "regime": single["regime"],
         "kappa": single["kappa"],
         "n_single": single,
@@ -516,7 +519,7 @@ def cmd_verify(cfg: RunConfig, args, out) -> int:
     report = verify_theorem(
         traj, samples=cfg.samples, seed=cfg.seed, bound_scale=args.fault_scale
     )
-    payload = {"config": cfg.effective(), "verification": report.to_dict()}
+    payload = {"config": cfg.effective("verify"), "verification": report.to_dict()}
     _write(out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
@@ -586,6 +589,9 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"nonmarkov: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"nonmarkov: out of memory: {exc or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ at its local maxima; the truncated geometric tail is reported explicitly.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -25,6 +26,8 @@ from .dynamics import (
 )
 from .errors import HorizonError, PhysicalityError
 from .reservoir import Lorentzian, Regime, classify_regime, kappa
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -489,6 +492,42 @@ def _distance_term(x: float, a2, b2, out: np.ndarray) -> np.ndarray:
     return np.multiply(out, x, out=out)
 
 
+def _score(intervals, a2, b2, score, term, low) -> np.ndarray:
+    """Sum hi sqrt(hi^2 a2 + b2) - lo sqrt(lo^2 a2 + b2) over `intervals` into `score`.
+
+    The terms are added in interval order; a minimum of exactly zero makes
+    its term exactly 0.0, and x - 0.0 is x, so that term is skipped with no
+    change to any bit. The row bounds and the cell scores both come from
+    here, so equal inputs give equal bits.
+    """
+    score.fill(0.0)
+    for iv in intervals:
+        hi, lo = iv.value_at_max, iv.value_at_min
+        _distance_term(hi, a2, b2, out=term)
+        if lo != 0.0:
+            np.subtract(term, _distance_term(lo, a2, b2, out=low), out=term)
+        score += term
+    return score
+
+
+def _row_bounds(intervals, level: np.ndarray) -> tuple[np.ndarray, float]:
+    """U[i, k], the bound on every cell score of row (alpha, mu) = (level[i], level[k]), and tol.
+
+    U is the score at A = (alpha - mu)^2 and B = (r_alpha + r_mu)^2, with
+    r = sqrt(level (1 - level)); it is computed as the cell (i, 0, k, G-1)
+    is, whose coherences are -r_alpha and r_mu, so it has that cell's bits.
+    """
+    r = np.sqrt(level * (1.0 - level))
+    a2 = (level[:, None] - level[None, :]) ** 2
+    b2 = r[:, None] + r[None, :]
+    np.multiply(b2, b2, out=b2)
+    bound, term, low = (np.empty(b2.shape) for _ in range(3))
+    _score(intervals, a2, b2, bound, term, low)
+    tol = 2.0**-30 * (len(intervals) + 8) * math.fsum(
+        iv.value_at_max + iv.value_at_min for iv in intervals)
+    return bound, tol
+
+
 def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForceResult:
     """Grid search over parameterized pairs maximizing the backflow sum.
 
@@ -498,9 +537,28 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     from the refined |b| extrema and the winner re-evaluated with the full
     per-pair extremum detection.
 
-    Each interval adds hi sqrt(hi^2 A + B) - lo sqrt(lo^2 A + B) to a pair's
-    score. A minimum of exactly zero makes the second term exactly 0.0, and
-    x - 0.0 is x, so that term is skipped with no change to any bit.
+    A pair's score is S(A, B) = sum hi sqrt(hi^2 A + B) - lo sqrt(lo^2 A + B)
+    over the intervals, with A = (alpha - mu)^2, B = |beta - nu|^2 and
+    hi >= lo >= 0. Both x / sqrt(x^2 A + B) and x^3 / sqrt(x^2 A + B) grow
+    with x, so each interval's term, and S, is non-decreasing in A and in B.
+    On the grid row of one (alpha, mu), A is fixed and
+    |beta - nu| <= r_alpha + r_mu with r = sqrt(level (1 - level)), so
+    U = S(A, (r_alpha + r_mu)^2) bounds every cell of the row. The radius
+    grid runs from exactly -1 to exactly 1, so U is also the score of that
+    row's cell (beta, nu) = (-r_alpha, r_mu), bit for bit: max(U) is a score
+    the grid attains, so the best score is at least max(U).
+
+    With A, B <= 1 and x <= 1, rounding moves each cell score and each U by
+    at most about (n + 8) eps sqrt(2) sum(hi + lo) for n intervals. The
+    rows kept are those with U >= max(U) - tol, where
+    tol = 2^-30 (n + 8) sum(hi + lo) exceeds both roundings together by a
+    factor above 10^5; every row left out scores strictly below max(U)
+    everywhere. The kept rows are scored one alpha slice at a time, over
+    the slice's kept mu columns in ascending order, so the cell scores have
+    the bits of a full-grid search and ties still go to the first index
+    of the (alpha, beta, mu, nu) grid in C order. If every row is kept, as
+    when there are no intervals and every score is 0, the work is that of
+    the full grid, and memory stays at grid_density^3 per slice.
     """
     if grid_density < 3:
         raise PhysicalityError("grid_density must be at least 3")
@@ -508,29 +566,32 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     intervals = find_extrema(sig)
     level = np.linspace(0.0, 1.0, grid_density)
     radius = np.linspace(-1.0, 1.0, grid_density)
-    # One alpha slice of the (alpha, beta, mu, nu) grid at a time keeps memory
-    # at grid_density^3; its axes are (beta radius, mu, nu radius).
+    bound, tol = _row_bounds(intervals, level)
+    kept = [np.flatnonzero(row) for row in bound >= bound.max() - tol]
+    log.debug("brute_force_max: scored %d of %d (alpha, mu) rows, %d intervals, tol %.3g",
+              sum(k.size for k in kept), bound.size, len(intervals), tol)
+    # A slice of the (alpha, beta, mu, nu) grid holds one alpha's kept mu
+    # columns; its axes are (beta radius, mu, nu radius).
     mu = level[None, :, None]
     nu = radius[None, None, :] * np.sqrt(mu * (1.0 - mu))
-    shape = (grid_density,) * 3
-    b2, score, term, low = (np.empty(shape) for _ in range(4))
+    size = grid_density * max(k.size for k in kept) * grid_density
+    buffers = [np.empty(size) for _ in range(4)]
     best_score = -np.inf
-    for al in level:
+    for al, cols in zip(level, kept):
+        if not cols.size:
+            continue
+        shape = (grid_density, cols.size, grid_density)
+        b2, score, term, low = (buf[:math.prod(shape)].reshape(shape) for buf in buffers)
         beta = radius[:, None, None] * np.sqrt(al * (1.0 - al))
-        a2 = (al - mu) ** 2
-        np.subtract(beta, nu, out=b2)
+        a2 = (al - mu[:, cols]) ** 2
+        np.subtract(beta, nu[:, cols], out=b2)
         np.multiply(b2, b2, out=b2)
-        score.fill(0.0)
-        for iv in intervals:
-            hi, lo = iv.value_at_max, iv.value_at_min
-            _distance_term(hi, a2, b2, out=term)
-            if lo != 0.0:
-                np.subtract(term, _distance_term(lo, a2, b2, out=low), out=term)
-            score += term
+        _score(intervals, a2, b2, score, term, low)
         flat = int(np.argmax(score))
         if score.flat[flat] > best_score:  # strict: the first index in C order wins ties
             best_score = score.flat[flat]
-            j, k, m = np.unravel_index(flat, score.shape)
+            j, c, m = np.unravel_index(flat, shape)
+            k = cols[c]
             best_pair = StatePair(
                 first=QubitInitialState(float(al), complex(beta[j, 0, 0])),
                 second=QubitInitialState(float(level[k]), complex(nu[0, k, m])),

@@ -537,6 +537,20 @@ class TestConfigHandling:
         assert err.count("\n") == 1 and err.startswith("nonmarkov: config error: ")
         assert fragment.format(tmp=tmp_path) in err and "Traceback" not in err
 
+    def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # numpy's allocation failure is a MemoryError subclass; the sweep's
+        # width grid is the first array a huge --steps asks for.
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.24 GiB for an array with shape (300000000,)")
+
+        monkeypatch.setattr(np, "linspace", fail)
+        code, _ = run(tmp_path, "sweep", "--width-from", "3", "--width-to", "4",
+                      "--steps", "300000000", "--t-max", "1", "--dt", "0.1")
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err == ("nonmarkov: out of memory: Unable to allocate 2.24 GiB for an array "
+                       "with shape (300000000,)\n")
+
     def test_missing_t_max_for_ohmic(self, tmp_path):
         ini = tmp_path / "ohmic.ini"
         ini.write_text(
@@ -548,27 +562,32 @@ class TestConfigHandling:
 
 
 class TestEffectiveConfigRoundTrip:
-    def test_rerunning_effective_config_reproduces_output(self, tmp_path, capsys):
-        _, first = run(tmp_path, "measure", "--width-ratio", "0.3", "--dt", "0.002")
+    @staticmethod
+    def rerun_from_block(tmp_path, argv):
+        """Run argv, write its `config` block back as INI, rerun from that file alone."""
+        _, first = run(tmp_path, *argv)
         eff = json.loads(first)["config"]
+        reads = cli._READS[argv[0]]
+        assert set(eff) == set(reads)
+        lines = []
+        for section, keys in eff.items():
+            assert set(keys) <= reads[section]
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {value}" for key, value in keys.items() if value is not None]
+        ini = tmp_path / "effective.ini"
+        ini.write_text("\n".join(lines) + "\n")
+        code, second = run(tmp_path, argv[0], "--config", str(ini))
+        assert code == EXIT_OK
+        return first, second
 
-        def write_ini(sections):
-            ini = tmp_path / "effective.ini"
-            lines = []
-            for section in sections:
-                lines.append(f"[{section}]")
-                for key, value in eff[section].items():
-                    if value is None:
-                        continue
-                    lines.append(f"{key} = {value}")
-            ini.write_text("\n".join(lines) + "\n")
-            return str(ini)
+    def test_rerunning_effective_config_reproduces_output(self, tmp_path):
+        first, second = self.rerun_from_block(
+            tmp_path, ["measure", "--width-ratio", "0.3", "--dt", "0.002"])
+        assert first == second
 
-        # The config block also echoes [run], which measure does not read.
-        code, _ = run(tmp_path, "measure", "--config", write_ini(eff))
-        assert code == EXIT_CONFIG
-        assert "measure does not read key 'seed' in section [run]" in capsys.readouterr().err
-        _, second = run(tmp_path, "measure", "--config", write_ini(["model", "solver", "measure"]))
+    def test_rerunning_verify_config_reproduces_output(self, tmp_path):
+        first, second = self.rerun_from_block(
+            tmp_path, ["verify", "--width-ratio", "0.3", "--samples", "500", "--seed", "3"])
         assert first == second
 
 

@@ -1,7 +1,9 @@
 """Tests for extremum detection and the non-Markovianity sums."""
 
 import json
+import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -430,6 +432,40 @@ def reference_brute_force(b_traj, density):
     return best_pair, blp_from_trajectory(pair_distance_trajectory(b_traj, best_pair)).total
 
 
+def random_trajectory(seed, samples=3001, dt=0.01):
+    """A seeded damped three-tone b(t) with |b| <= 1: raised minima for some seeds, zero crossings for others."""
+    rng = np.random.default_rng(seed)
+    t = dt * np.arange(samples)
+    wave = sum(a * np.cos(w * t + p) for a, w, p in zip(
+        rng.uniform(0.2, 1.0, 3), rng.uniform(0.3, 3.0, 3), rng.uniform(0.0, 2 * np.pi, 3)))
+    wave /= np.max(np.abs(wave))
+    center = rng.uniform(-0.2, 0.6)
+    values = (center + (1.0 - abs(center)) * wave) * np.exp(-rng.uniform(0.01, 0.1) * t)
+    values[0] = 1.0
+    return AmplitudeTrajectory(dt=dt, values=values)
+
+
+def raised_minima_trajectory():
+    t = 0.01 * np.arange(6001)
+    values = 0.6 + 0.4 * np.cos(t) * np.exp(-0.05 * t)
+    values[0] = 1.0
+    return AmplitudeTrajectory(dt=0.01, values=values)
+
+
+def grid_scores(intervals, density):
+    """Every cell score of the (alpha, beta, mu, nu) grid, by the full expression."""
+    level = np.linspace(0.0, 1.0, density)
+    radius = np.linspace(-1.0, 1.0, density)
+    al, rb, mu, rn = np.meshgrid(level, radius, level, radius, indexing="ij")
+    a2 = (al - mu) ** 2
+    b2 = (rb * np.sqrt(al * (1.0 - al)) - rn * np.sqrt(mu * (1.0 - mu))) ** 2
+    score = np.zeros_like(a2)
+    for iv in intervals:
+        hi, lo = iv.value_at_max, iv.value_at_min
+        score += hi * np.sqrt(hi * hi * a2 + b2) - lo * np.sqrt(lo * lo * a2 + b2)
+    return score
+
+
 class TestBruteForce:
     def test_converges_to_single_measure(self):
         traj = lorentzian_trajectory(0.1)
@@ -479,6 +515,44 @@ class TestBruteForce:
         result = brute_force_max(traj, grid_density=density)
         assert abs(result.best_pair.first.alpha - result.best_pair.second.alpha) == 1.0
         assert (result.best_pair, result.best_total) == reference_brute_force(traj, density)
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("density", [8, 9, 12])
+    def test_row_bound_covers_its_row_and_is_a_cell_score(self, seed, density):
+        # seed None is the raised-minima trajectory, where lo > 0 makes the
+        # monotonicity argument carry the minimum terms too.
+        traj = raised_minima_trajectory() if seed is None else random_trajectory(seed)
+        intervals = find_extrema(optimal_distance_trajectory(traj))
+        assert intervals
+        bound, tol = measure._row_bounds(intervals, np.linspace(0.0, 1.0, density))
+        score = grid_scores(intervals, density)
+        assert np.array_equal(bound, score[:, 0, :, -1])
+        assert np.all(score <= bound[:, None, :, None] + tol)
+
+    def test_matches_reference_search_at_benchmark_density(self):
+        traj = lorentzian_trajectory(0.1)
+        result = brute_force_max(traj, grid_density=41)
+        assert (result.best_pair, result.best_total) == reference_brute_force(traj, 41)
+
+    @pytest.mark.parametrize("seed", range(10, 18))
+    @pytest.mark.parametrize("density", [8, 9])
+    def test_matches_reference_search_on_random_trajectories(self, seed, density):
+        traj = random_trajectory(seed)
+        result = brute_force_max(traj, grid_density=density)
+        assert (result.best_pair, result.best_total) == reference_brute_force(traj, density)
+
+    def test_debug_line_counts_rows_scored(self, caplog):
+        traj = lorentzian_trajectory(0.1)
+        with caplog.at_level(logging.DEBUG, logger="nonmarkov.measure"):
+            brute_force_max(traj, grid_density=41)
+        [line] = [r.getMessage() for r in caplog.records if r.name == "nonmarkov.measure"]
+        match = re.fullmatch(r"brute_force_max: scored (\d+) of 1681 \(alpha, mu\) rows, "
+                             r"(\d+) intervals, tol (\S+)", line)
+        assert match, line
+        # The whole grid is 1681 rows; the bound leaves only the optimal pair's.
+        assert 1 <= int(match[1]) <= 2
+        assert int(match[2]) == len(find_extrema(optimal_distance_trajectory(traj)))
+        assert 0.0 < float(match[3]) < 1e-6
 
     def test_width_01_has_zero_and_nonzero_minima(self):
         # Both branches of the scoring loop run on this trajectory: the
