@@ -1,11 +1,13 @@
 """Command-line front end: simulate, measure, sweep, verify.
 
 Units: gamma0 = 1 defines the rate unit, so `--width-ratio` is the
-spectral width over gamma0 and times are in 1/gamma0. Configuration comes
-from an INI-style file (sections [model], [solver], [measure], [run]) with
-flags taking precedence; each subcommand rejects the keys it does not
-read. Exit codes: 0 success, 1 configuration error or out of memory,
-2 numerical failure, 3 verification failure. NM_LOG sets log verbosity.
+spectral width over gamma0 and times are in 1/gamma0; gamma0 is fixed
+and has no key. Configuration comes from an INI-style file (sections
+[model], [solver], [measure], [run]) with flags taking precedence; each
+subcommand rejects the keys it does not read, and each model type the
+[model] keys it does not use. Exit codes: 0 success, 1 configuration
+error or out of memory, 2 numerical failure, 3 verification failure.
+NM_LOG sets log verbosity.
 """
 
 from __future__ import annotations
@@ -56,22 +58,30 @@ class ConfigError(Exception):
     pass
 
 
-_SCHEMA = {
-    "model": {"type", "gamma0", "width_ratio", "detuning", "coupling", "exponent",
-              "cutoff", "qubit_frequency", "table"},
-    "solver": {"method", "dt", "t_max"},
-    "measure": {"min_tolerance"},
-    "run": {"seed", "samples", "jobs"},
+# Each section's keys, in the order the config block lists them, with the
+# type each value is read as. A key is also its RunConfig attribute and the
+# dest of its flag, if it has one.
+_SECTIONS = {
+    "model": {"type": str, "width_ratio": float, "detuning": float, "coupling": float,
+              "exponent": float, "cutoff": float, "table": str, "qubit_frequency": float},
+    "solver": {"method": str, "dt": float, "t_max": float},
+    "measure": {"min_tolerance": float},
+    "run": {"seed": int, "samples": int, "jobs": int},
+}
+# The [model] keys each model type uses; a run that sets any other is rejected.
+_MODEL_KEYS = {
+    "lorentzian": {"type", "width_ratio", "detuning"},
+    "ohmic": {"type", "coupling", "exponent", "cutoff", "qubit_frequency"},
+    "tabulated": {"type", "table", "qubit_frequency"},
 }
 # The INI keys each subcommand reads; a file that sets any other key is rejected.
+_MODEL, _SOLVER, _MEASURE = (set(_SECTIONS[s]) for s in ("model", "solver", "measure"))
 _READS = {
-    "simulate": {"model": _SCHEMA["model"], "solver": _SCHEMA["solver"]},
-    "measure": {"model": _SCHEMA["model"], "solver": _SCHEMA["solver"],
-                "measure": _SCHEMA["measure"]},
-    "sweep": {"model": _SCHEMA["model"] - {"width_ratio"}, "solver": _SCHEMA["solver"],
-              "measure": _SCHEMA["measure"], "run": {"jobs"}},
-    "verify": {"model": _SCHEMA["model"], "solver": _SCHEMA["solver"],
-               "run": {"seed", "samples"}},
+    "simulate": {"model": _MODEL, "solver": _SOLVER},
+    "measure": {"model": _MODEL, "solver": _SOLVER, "measure": _MEASURE},
+    "sweep": {"model": _MODEL - {"width_ratio"}, "solver": _SOLVER, "measure": _MEASURE,
+              "run": {"jobs"}},
+    "verify": {"model": _MODEL, "solver": _SOLVER, "run": {"seed", "samples"}},
 }
 
 # simulate writes its CSV this many rows at a time, and formats the cells of
@@ -82,10 +92,9 @@ _CELL_ROWS = 1024
 
 @dataclass
 class RunConfig:
-    """Flattened, validated configuration for one CLI invocation."""
+    """Flattened, validated configuration for one CLI invocation; see `_SECTIONS`."""
 
-    model_type: str = "lorentzian"
-    gamma0: float = 1.0
+    type: str = "lorentzian"
     width_ratio: float = 0.1
     detuning: float = 0.0
     coupling: float | None = None
@@ -102,31 +111,23 @@ class RunConfig:
     jobs: int = 1
 
     def build_model(self):
-        if self.model_type == "lorentzian":
-            return Lorentzian(
-                gamma0=self.gamma0,
-                width=self.width_ratio * self.gamma0,
-                detuning=self.detuning,
-            )
-        if self.model_type == "ohmic":
-            missing = [k for k in ("coupling", "exponent", "cutoff", "qubit_frequency")
-                       if getattr(self, k) is None]
-            if missing:
-                raise ConfigError(f"ohmic model needs keys: {', '.join(missing)}")
+        missing = [key for key in _SECTIONS["model"]
+                   if key in _MODEL_KEYS[self.type] and getattr(self, key) is None]
+        if missing:
+            raise ConfigError(f"{self.type} model needs keys: {', '.join(missing)}")
+        if self.type == "lorentzian":
+            return Lorentzian(gamma0=1.0, width=self.width_ratio, detuning=self.detuning)
+        if self.type == "ohmic":
             return OhmicFamily(
                 coupling=self.coupling,
                 exponent=self.exponent,
                 cutoff=self.cutoff,
                 qubit_frequency=self.qubit_frequency,
             )
-        if self.model_type == "tabulated":
-            if self.table is None or self.qubit_frequency is None:
-                raise ConfigError("tabulated model needs 'table' and 'qubit_frequency'")
-            try:
-                return load_tabulated(self.table, self.qubit_frequency)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"table {self.table!r}: {exc}") from None
-        raise ConfigError(f"unknown model type {self.model_type!r}")
+        try:
+            return load_tabulated(self.table, self.qubit_frequency)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"table {self.table!r}: {exc}") from None
 
     def build_solver(self, model) -> SolverConfig:
         if self.method == "auto":
@@ -154,27 +155,10 @@ class RunConfig:
 
     def effective(self, command: str) -> dict:
         """The settings `command` reads, as INI sections: written back, they load for it."""
-        out = {
-            "model": {"type": self.model_type, "gamma0": self.gamma0},
-            "solver": {"method": self.method, "dt": self.dt, "t_max": self.t_max},
-            "measure": {"min_tolerance": self.min_tolerance},
-            "run": {"seed": self.seed, "samples": self.samples, "jobs": self.jobs},
-        }
-        if self.model_type == "lorentzian":
-            out["model"]["width_ratio"] = self.width_ratio
-            out["model"]["detuning"] = self.detuning
-        elif self.model_type == "ohmic":
-            out["model"].update(coupling=self.coupling, exponent=self.exponent,
-                                cutoff=self.cutoff, qubit_frequency=self.qubit_frequency)
-        else:
-            out["model"].update(table=self.table, qubit_frequency=self.qubit_frequency)
-        reads = _READS[command]
-        return {section: {key: value for key, value in keys.items() if key in reads[section]}
-                for section, keys in out.items() if section in reads}
-
-
-_INT_KEYS = {"seed", "samples", "jobs"}
-_STR_KEYS = {"type": "model_type", "method": "method", "table": "table"}
+        reads, unused = _READS[command], _MODEL - _MODEL_KEYS[self.type]
+        return {section: {key: getattr(self, key) for key in keys
+                          if key in reads[section] and key not in unused}
+                for section, keys in _SECTIONS.items() if section in reads}
 
 
 def load_config_file(path: str, command: str) -> dict:
@@ -193,17 +177,14 @@ def load_config_file(path: str, command: str) -> dict:
         raise ConfigError(f"cannot read config file {path!r}")
     values: dict = {}
     for section, items in sections.items():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in items:
-            if key not in _SCHEMA[section]:
+            kind = _SECTIONS[section].get(key)
+            if kind is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             if key not in _READS[command].get(section, ()):
                 raise ConfigError(f"{command} does not read key {key!r} in section [{section}]")
-            if key in _STR_KEYS:
-                values[_STR_KEYS[key]] = raw.strip()
-                continue
-            kind = int if key in _INT_KEYS else float
             try:
                 values[key] = kind(raw)
             except ValueError:
@@ -216,17 +197,20 @@ def load_config_file(path: str, command: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config, args.command))
+    values = load_config_file(args.config, args.command) if args.config else {}
     # Each subcommand defines only the flags it reads; the rest are absent.
-    for key in ("width_ratio", "dt", "t_max", "seed", "samples", "jobs", "min_tolerance"):
-        if getattr(args, key, None) is not None:
-            values[key] = getattr(args, key)
-    try:
-        cfg = RunConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for keys in _SECTIONS.values():
+        values.update((key, getattr(args, key)) for key in keys
+                      if getattr(args, key, None) is not None)
+    model_type = values.get("type", RunConfig.type)
+    if model_type not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model type {model_type!r}; "
+                          f"known types: {', '.join(_MODEL_KEYS)}")
+    unused = [key for key in _SECTIONS["model"]
+              if key in values and key not in _MODEL_KEYS[model_type]]
+    if unused:
+        raise ConfigError(f"model type {model_type!r} does not use {', '.join(unused)}")
+    cfg = RunConfig(**values)
     if not 0 < cfg.dt < math.inf:
         raise ConfigError(f"dt must be positive and finite, got {cfg.dt}")
     if cfg.t_max is not None and not 0 < cfg.t_max < math.inf:
@@ -235,6 +219,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")
+    if not 0 <= cfg.min_tolerance < math.inf:
+        raise ConfigError(f"min_tolerance must be nonnegative and finite, got {cfg.min_tolerance}")
     return cfg
 
 
@@ -494,10 +480,8 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
         raise ConfigError("sweep needs at least 2 steps")
     if not (0 < args.width_from and 0 < args.width_to):
         raise ConfigError("width ratios must be positive")
-    if cfg.model_type != "lorentzian":
-        raise ConfigError(
-            f"sweep varies the Lorentzian width; model type {cfg.model_type!r} has none"
-        )
+    if cfg.type != "lorentzian":
+        raise ConfigError(f"sweep varies the Lorentzian width; model type {cfg.type!r} has none")
     points = [
         replace(cfg, width_ratio=float(r))
         for r in np.linspace(args.width_from, args.width_to, args.steps)

@@ -127,9 +127,7 @@ def find_extrema(sig: ScalarTrajectory, min_tol: float = 0.0) -> list[ExtremumIn
     for i, (t_lo, v_lo, kind) in enumerate(extrema):
         if kind >= 0 or i + 1 >= len(extrema):
             continue
-        t_hi, v_hi, kind_hi = extrema[i + 1]
-        if kind_hi <= 0:  # alternation guarantees this never triggers
-            continue
+        t_hi, v_hi, _ = extrema[i + 1]
         if v_hi - v_lo <= min_tol:
             continue
         intervals.append(
@@ -485,27 +483,20 @@ class BruteForceResult:
     grid_density: int
 
 
-def _distance_term(x: float, a2, b2, out: np.ndarray) -> np.ndarray:
-    """x sqrt(x^2 a2 + b2) written into `out`, rounded as the expression is."""
-    np.add(x * x * a2, b2, out=out)
-    np.sqrt(out, out=out)
-    return np.multiply(out, x, out=out)
-
-
-def _score(intervals, a2, b2, score, term, low) -> np.ndarray:
-    """Sum hi sqrt(hi^2 a2 + b2) - lo sqrt(lo^2 a2 + b2) over `intervals` into `score`.
+def _score(intervals, a2, b2) -> np.ndarray:
+    """Sum hi sqrt(hi^2 a2 + b2) - lo sqrt(lo^2 a2 + b2) over `intervals`.
 
     The terms are added in interval order; a minimum of exactly zero makes
     its term exactly 0.0, and x - 0.0 is x, so that term is skipped with no
     change to any bit. The row bounds and the cell scores both come from
     here, so equal inputs give equal bits.
     """
-    score.fill(0.0)
+    score = np.zeros(np.broadcast_shapes(np.shape(a2), np.shape(b2)))
     for iv in intervals:
         hi, lo = iv.value_at_max, iv.value_at_min
-        _distance_term(hi, a2, b2, out=term)
+        term = hi * np.sqrt(hi * hi * a2 + b2)
         if lo != 0.0:
-            np.subtract(term, _distance_term(lo, a2, b2, out=low), out=term)
+            term -= lo * np.sqrt(lo * lo * a2 + b2)
         score += term
     return score
 
@@ -519,10 +510,7 @@ def _row_bounds(intervals, level: np.ndarray) -> tuple[np.ndarray, float]:
     """
     r = np.sqrt(level * (1.0 - level))
     a2 = (level[:, None] - level[None, :]) ** 2
-    b2 = r[:, None] + r[None, :]
-    np.multiply(b2, b2, out=b2)
-    bound, term, low = (np.empty(b2.shape) for _ in range(3))
-    _score(intervals, a2, b2, bound, term, low)
+    bound = _score(intervals, a2, (r[:, None] + r[None, :]) ** 2)
     tol = 2.0**-30 * (len(intervals) + 8) * math.fsum(
         iv.value_at_max + iv.value_at_min for iv in intervals)
     return bound, tol
@@ -553,12 +541,13 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     rows kept are those with U >= max(U) - tol, where
     tol = 2^-30 (n + 8) sum(hi + lo) exceeds both roundings together by a
     factor above 10^5; every row left out scores strictly below max(U)
-    everywhere. The kept rows are scored one alpha slice at a time, over
-    the slice's kept mu columns in ascending order, so the cell scores have
-    the bits of a full-grid search and ties still go to the first index
-    of the (alpha, beta, mu, nu) grid in C order. If every row is kept, as
-    when there are no intervals and every score is 0, the work is that of
-    the full grid, and memory stays at grid_density^3 per slice.
+    everywhere. Each kept row is scored by itself, with the elementwise
+    operations of a full-grid search, so the cell scores have its bits,
+    and the best cell is the least by (-score, alpha, beta, mu, nu) index:
+    ties go to the first index of the (alpha, beta, mu, nu) grid in C
+    order. If every row is kept, as when there are no intervals and every
+    score is 0, the work is that of the full grid; memory stays at
+    grid_density^2 per row.
     """
     if grid_density < 3:
         raise PhysicalityError("grid_density must be at least 3")
@@ -566,35 +555,21 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     intervals = find_extrema(sig)
     level = np.linspace(0.0, 1.0, grid_density)
     radius = np.linspace(-1.0, 1.0, grid_density)
+    r = np.sqrt(level * (1.0 - level))
     bound, tol = _row_bounds(intervals, level)
-    kept = [np.flatnonzero(row) for row in bound >= bound.max() - tol]
+    rows = np.argwhere(bound >= bound.max() - tol)
     log.debug("brute_force_max: scored %d of %d (alpha, mu) rows, %d intervals, tol %.3g",
-              sum(k.size for k in kept), bound.size, len(intervals), tol)
-    # A slice of the (alpha, beta, mu, nu) grid holds one alpha's kept mu
-    # columns; its axes are (beta radius, mu, nu radius).
-    mu = level[None, :, None]
-    nu = radius[None, None, :] * np.sqrt(mu * (1.0 - mu))
-    size = grid_density * max(k.size for k in kept) * grid_density
-    buffers = [np.empty(size) for _ in range(4)]
-    best_score = -np.inf
-    for al, cols in zip(level, kept):
-        if not cols.size:
-            continue
-        shape = (grid_density, cols.size, grid_density)
-        b2, score, term, low = (buf[:math.prod(shape)].reshape(shape) for buf in buffers)
-        beta = radius[:, None, None] * np.sqrt(al * (1.0 - al))
-        a2 = (al - mu[:, cols]) ** 2
-        np.subtract(beta, nu[:, cols], out=b2)
-        np.multiply(b2, b2, out=b2)
-        _score(intervals, a2, b2, score, term, low)
-        flat = int(np.argmax(score))
-        if score.flat[flat] > best_score:  # strict: the first index in C order wins ties
-            best_score = score.flat[flat]
-            j, c, m = np.unravel_index(flat, shape)
-            k = cols[c]
-            best_pair = StatePair(
-                first=QubitInitialState(float(al), complex(beta[j, 0, 0])),
-                second=QubitInitialState(float(level[k]), complex(nu[0, k, m])),
-            )
+              len(rows), bound.size, len(intervals), tol)
+    cells = []
+    for i, k in rows:
+        b2 = (radius[:, None] * r[i] - radius[None, :] * r[k]) ** 2
+        score = _score(intervals, np.square(level[i] - level[k]), b2)
+        j, m = np.unravel_index(int(np.argmax(score)), score.shape)
+        cells.append((-score[j, m], i, j, k, m))
+    _, i, j, k, m = min(cells)
+    best_pair = StatePair(
+        first=QubitInitialState(float(level[i]), complex(radius[j] * r[i])),
+        second=QubitInitialState(float(level[k]), complex(radius[m] * r[k])),
+    )
     exact = blp_from_trajectory(pair_distance_trajectory(b_traj, best_pair))
     return BruteForceResult(best_pair=best_pair, best_total=exact.total, grid_density=grid_density)

@@ -31,6 +31,7 @@ OHMIC_INI = (
     "[model]\ntype = ohmic\ncoupling = 0.05\nexponent = 1.0\ncutoff = 1.0\n"
     "qubit_frequency = 1.0\n[solver]\ndt = 0.01\nt_max = 20\n"
 )
+TOLERANCE_RANGE = "min_tolerance must be nonnegative and finite"
 
 
 def run(tmp_path, *argv):
@@ -385,7 +386,7 @@ class TestConfigHandling:
     def test_config_file_round_trip(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(
-            "[model]\ntype = lorentzian\ngamma0 = 1.0\nwidth_ratio = 0.5\n"
+            "[model]\ntype = lorentzian\nwidth_ratio = 0.5\n"
             "[solver]\ndt = 0.001\n\n[measure]\nmin_tolerance = 1e-6\n"
         )
         _, from_file = run(tmp_path, "measure", "--config", str(ini))
@@ -465,7 +466,7 @@ class TestConfigHandling:
         "command, text",
         [("simulate", "[model]\nwidth_ratio = 10\n[solver]\nt_max = 1\n"),
          ("measure", "[model]\nwidth_ratio = 10\n[measure]\nmin_tolerance = 1e-6\n"),
-         ("sweep", "[model]\ngamma0 = 1\n[measure]\nmin_tolerance = 1e-6\n[run]\njobs = 1\n"),
+         ("sweep", "[model]\ndetuning = 0\n[measure]\nmin_tolerance = 1e-6\n[run]\njobs = 1\n"),
          ("verify", "[model]\nwidth_ratio = 10\n[run]\nseed = 3\nsamples = 100\n")],
     )
     def test_keys_the_subcommand_reads_accepted(self, tmp_path, command, text):
@@ -476,6 +477,61 @@ class TestConfigHandling:
             argv += ["--width-from", "5", "--width-to", "10", "--steps", "2"]
         code, _ = run(tmp_path, *argv)
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize(
+        "model_type, key",
+        [("lorentzian", key) for key in ("coupling", "exponent", "cutoff", "table",
+                                         "qubit_frequency")]
+        + [("ohmic", key) for key in ("width_ratio", "detuning", "table")]
+        + [("tabulated", key) for key in ("width_ratio", "detuning", "coupling", "exponent",
+                                          "cutoff")],
+    )
+    def test_model_key_the_type_does_not_use_rejected(self, tmp_path, capsys, model_type, key):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[model]\ntype = {model_type}\n{key} = 7\n")
+        code, _ = run(tmp_path, "measure", "--config", str(ini))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"nonmarkov: config error: model type {model_type!r} does not use {key}\n")
+
+    @pytest.mark.parametrize("model_type", ["ohmic", "tabulated"])
+    def test_width_ratio_flag_rejected_for_other_model_types(self, tmp_path, capsys, model_type):
+        (tmp_path / "t.txt").write_text("0 0\n40 1\n")
+        ini = tmp_path / "run.ini"
+        ini.write_text(OHMIC_INI if model_type == "ohmic" else
+                       "[model]\ntype = tabulated\ntable = t.txt\nqubit_frequency = 20\n"
+                       "[solver]\nt_max = 10\n")
+        code, _ = run(tmp_path, "measure", "--config", str(ini), "--width-ratio", "9")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"nonmarkov: config error: model type {model_type!r} does not use width_ratio\n")
+
+    def test_unused_model_keys_named_in_table_order(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(OHMIC_INI.replace("[solver]", "detuning = 3\nwidth_ratio = 7\n[solver]"))
+        code, _ = run(tmp_path, "measure", "--config", str(ini), "--width-ratio", "9")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "nonmarkov: config error: model type 'ohmic' does not use width_ratio, detuning\n")
+
+    def test_unknown_model_type_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\ntype = lorentzian ; inline comments are part of the value\n")
+        code, _ = run(tmp_path, "simulate", "--config", str(ini))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "nonmarkov: config error: unknown model type "
+            "'lorentzian ; inline comments are part of the value'; "
+            "known types: lorentzian, ohmic, tabulated\n")
+
+    def test_gamma0_key_rejected(self, tmp_path, capsys):
+        # The CLI fixes gamma0 = 1: the measures depend only on width/gamma0.
+        ini = tmp_path / "run.ini"
+        ini.write_text("[model]\ngamma0 = 2\nwidth_ratio = 0.5\n")
+        code, _ = run(tmp_path, "measure", "--config", str(ini))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "nonmarkov: config error: unknown key 'gamma0' in section [model]\n")
 
     def test_unknown_section_rejected(self, tmp_path):
         ini = tmp_path / "bad.ini"
@@ -521,14 +577,22 @@ class TestConfigHandling:
          (["verify", "--seed", "-1"], "seed must be nonnegative"),
          (["measure", "--width-ratio", "10", "--out", "{tmp}/missing/x.json"],
           "cannot write output"),
-         (["measure", "--config", "{tmp}/table.ini"], "table '{tmp}/missing.txt'")],
-        ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing"],
+         (["measure", "--config", "{tmp}/table.ini"], "table '{tmp}/missing.txt'"),
+         (["measure", "--min-tolerance", "nan"], f"{TOLERANCE_RANGE}, got nan"),
+         (["sweep", "--width-from", "1", "--width-to", "2", "--steps", "2",
+           "--min-tolerance", "inf"], f"{TOLERANCE_RANGE}, got inf"),
+         (["measure", "--min-tolerance", "-1"], f"{TOLERANCE_RANGE}, got -1.0"),
+         (["measure", "--config", "{tmp}/tolerance.ini"], f"{TOLERANCE_RANGE}, got -1e-09")],
+        ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing",
+             "min_tolerance_nan", "min_tolerance_inf", "min_tolerance_negative",
+             "min_tolerance_key_negative"],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "table.ini").write_text(
             f"[model]\ntype = tabulated\ntable = {tmp_path}/missing.txt\nqubit_frequency = 1\n"
             "[solver]\nt_max = 10\n"
         )
+        (tmp_path / "tolerance.ini").write_text("[measure]\nmin_tolerance = -1e-9\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--out" not in argv:
             argv += ["--out", str(tmp_path / "out.txt")]
@@ -589,6 +653,25 @@ class TestEffectiveConfigRoundTrip:
         first, second = self.rerun_from_block(
             tmp_path, ["verify", "--width-ratio", "0.3", "--samples", "500", "--seed", "3"])
         assert first == second
+
+    @pytest.mark.parametrize("model_type", ["ohmic", "tabulated"])
+    @pytest.mark.parametrize("command", ["measure", "verify"])
+    def test_rerunning_other_model_config_reproduces_output(self, tmp_path, command, model_type):
+        w = np.linspace(0.0, 40.0, 201)
+        spectrum = np.exp(-0.5 * ((w - 20.0) / 3.0) ** 2)
+        np.savetxt(tmp_path / "t.txt", np.column_stack([w, spectrum]))
+        ini = tmp_path / "model.ini"
+        ini.write_text(OHMIC_INI if model_type == "ohmic" else
+                       "[model]\ntype = tabulated\ntable = t.txt\nqubit_frequency = 20\n"
+                       "[solver]\ndt = 0.01\nt_max = 10\n")
+        argv = [command, "--config", str(ini)]
+        if command == "verify":
+            argv += ["--samples", "500", "--seed", "3"]
+        first, second = self.rerun_from_block(tmp_path, argv)
+        assert first == second
+        model = json.loads(first)["config"]["model"]
+        assert model["type"] == model_type
+        assert "width_ratio" not in model and "detuning" not in model
 
 
 class TestStepCap:

@@ -561,15 +561,6 @@ class TestBruteForce:
             optimal_distance_trajectory(lorentzian_trajectory(0.1)))]
         assert 0.0 in lows and any(v != 0.0 for v in lows)
 
-    def test_distance_term_rounds_as_the_expression(self):
-        rng = np.random.default_rng(18)
-        a2 = rng.uniform(size=(1, 7, 1))
-        b2 = rng.uniform(size=(7, 7, 7))
-        out = np.empty(b2.shape)
-        for x in rng.uniform(size=20):
-            got = measure._distance_term(x, a2, b2, out=out)
-            assert got is out and np.array_equal(got, x * np.sqrt(x * x * a2 + b2))
-
     def test_grid_density_floor(self):
         traj = lorentzian_trajectory(0.5, t_max=60.0)
         with pytest.raises(PhysicalityError):
