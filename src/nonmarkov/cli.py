@@ -18,6 +18,7 @@ import logging
 import math
 import mmap
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -509,6 +510,16 @@ def cmd_verify(cfg: RunConfig, args, out) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse reads a value as a negative number, not an option name, only
+    # when it matches its matcher, which takes -1 and -.5 but not -1e-3,
+    # -1E+2 or -inf; this one takes every negative float literal.
+    _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|-(inf|infinity|nan)$",
+                                  re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_NUMBER
+
     def error(self, message):  # argparse default exits 2; config errors are 1
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 

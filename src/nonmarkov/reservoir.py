@@ -15,9 +15,11 @@ Recipes, 3rd ed., section 13.9). Each node's term is bounded for every t
 by |d_m| x_m^2 / 2 (its slope jump times its squared offset from the qubit
 frequency, halved), so the nodes with the smallest bounds are dropped while
 those bounds sum to at most _PRUNE_EPS * f(0), with _PRUNE_EPS = 2^-52 the
-double-precision unit roundoff. The sum over the kept nodes costs
-O(n * kept nodes) for n samples, is vectorised over bounded blocks of
-(sample, node) pairs and takes y - sin(y) from its Taylor series at small
+double-precision unit roundoff. The sum over the kept nodes splits each
+sample's phase at the start of its 128-sample block, so for n samples its
+trig work is (n/128 + 128) * kept nodes, plus one complex matrix product of
+(n/128) x kept nodes by kept nodes x 128. It runs over bounded chunks of
+nodes and blocks and takes y - sin(y) from its Taylor series at small
 phases, so it loses no digits to cancellation at small t.
 """
 
@@ -180,7 +182,7 @@ def correlation(model: SpectralModel, dt: float, n: int) -> CorrelationSamples:
     elif isinstance(model, OhmicFamily):
         values = _ohmic_correlation(model, t)
     elif isinstance(model, Tabulated):
-        values = _tabulated_correlation(model, t)
+        values = _tabulated_correlation(model, dt, t)
     else:
         raise UnsupportedModelError(f"unknown spectral model {type(model).__name__}")
     return CorrelationSamples(dt=dt, values=values)
@@ -217,10 +219,12 @@ def _ohmic_correlation(model: OhmicFamily, t: np.ndarray) -> np.ndarray:
     return scale * np.exp(1j * model.qubit_frequency * t - log_denominator)
 
 
-# The tabulated node sum evaluates at most this many times by this many
-# nodes at once, so its temporaries do not grow with n or the table size.
+# The tabulated node sum runs over blocks of this many consecutive samples,
+# this many block starts and this many nodes at once, so its temporaries do
+# not grow with n or the table size.
 _NODE_BLOCK_TIMES = 128
-_NODE_BLOCK_NODES = 1000
+_NODE_BLOCK_STARTS = 64
+_NODE_BLOCK_NODES = 512
 
 # The tabulated node sum drops nodes whose terms are bounded, together and
 # for every t, by this fraction of f(0): the double-precision unit roundoff.
@@ -282,27 +286,47 @@ def _prune_nodes(x: np.ndarray, jumps: np.ndarray, f0: float):
     return keep, float(dropped[n_drop - 1]) if n_drop else 0.0
 
 
-def _node_sum(tp: np.ndarray, x: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-    """sum_m d_m [2 sin^2(y_m/2) - i (y_m - sin y_m)], y_m = x_m t, at each t in `tp`.
+def _g(y: np.ndarray) -> np.ndarray:
+    """g(y) = 1 - i y - e^{-iy}, as 2 sin^2(y/2) - i (y - sin y) so neither part cancels."""
+    return 2.0 * np.sin(0.5 * y) ** 2 - 1j * _y_minus_sin(y)
 
-    Runs over blocks of at most _NODE_BLOCK_TIMES x _NODE_BLOCK_NODES terms.
+
+def _node_sum(dt: float, n: int, x: np.ndarray, jumps: np.ndarray) -> np.ndarray:
+    """sum_m d_m g(x_m t), g(y) = 1 - i y - e^{-iy}, at t = dt*k for k = 0 .. n-1.
+
+    The samples fall in blocks of _NODE_BLOCK_TIMES. In the block that starts
+    at t_a, the phase at t_a + tau_r (tau_r = dt*r) is y = u + v, u = x_m t_a,
+    v = x_m tau_r, and
+        g(u + v) = g(u) - i v (1 - e^{-iu}) + e^{-iu} g(v),
+        1 - e^{-iu} = 2 sin^2(u/2) + i sin u.
+    So a block takes the two dot products sum d_m g(u_m) and
+    sum d_m x_m (1 - e^{-iu_m}), and one row of the matrix product of
+    d_m e^{-iu_m} with the table g(x_m tau_r), which is built once per node.
+    No part cancels by itself, and at small phases the three add with the
+    same sign. The trig work is (n/_NODE_BLOCK_TIMES + _NODE_BLOCK_TIMES)
+    per node.
     """
-    cos_part = np.zeros(tp.shape)  # sum_m d_m sin^2(y_m/2)
-    sin_part = np.zeros(tp.shape)  # sum_m d_m (y_m - sin y_m)
-    for a in range(0, tp.size, _NODE_BLOCK_TIMES):
-        rows = slice(a, a + _NODE_BLOCK_TIMES)
-        for c in range(0, x.size, _NODE_BLOCK_NODES):
-            cols = slice(c, c + _NODE_BLOCK_NODES)
-            y = tp[rows, None] * x[cols]
-            sin_part[rows] += _y_minus_sin(y) @ jumps[cols]
-            np.multiply(y, 0.5, out=y)
-            np.sin(y, out=y)
-            np.square(y, out=y)
-            cos_part[rows] += y @ jumps[cols]
-    return 2.0 * cos_part - 1j * sin_part
+    tau = dt * np.arange(_NODE_BLOCK_TIMES)
+    starts = dt * np.arange(0, n, _NODE_BLOCK_TIMES)
+    total = np.zeros((starts.size, _NODE_BLOCK_TIMES), dtype=complex)
+    for c in range(0, x.size, _NODE_BLOCK_NODES):
+        xc = x[c:c + _NODE_BLOCK_NODES]
+        dc = jumps[c:c + _NODE_BLOCK_NODES]
+        dxc = dc * xc
+        table = _g(xc[:, None] * tau)
+        for a in range(0, starts.size, _NODE_BLOCK_STARTS):
+            rows = slice(a, a + _NODE_BLOCK_STARTS)
+            u = starts[rows, None] * xc
+            versin = 2.0 * np.sin(0.5 * u) ** 2  # Re g(u) = Re(1 - e^{-iu})
+            sin_u = np.sin(u)
+            g_u = versin @ dc - 1j * (_y_minus_sin(u) @ dc)
+            h_u = versin @ dxc + 1j * (sin_u @ dxc)
+            coef = dc * ((1.0 - versin) - 1j * sin_u)  # d_m e^{-iu_m}
+            total[rows] += coef @ table + g_u[:, None] - 1j * np.multiply.outer(h_u, tau)
+    return total.ravel()[:n]
 
 
-def _tabulated_correlation(model: Tabulated, t: np.ndarray) -> np.ndarray:
+def _tabulated_correlation(model: Tabulated, dt: float, t: np.ndarray) -> np.ndarray:
     """Exact Fourier integral of the linear interpolant, as one node sum.
 
     With x_m = w_m - w0, y_m = x_m t and the slope jumps d_m of
@@ -314,7 +338,8 @@ def _tabulated_correlation(model: Tabulated, t: np.ndarray) -> np.ndarray:
     the sum, t^-2 included, is at most |d_m| x_m^2 / 2 in modulus for every
     t, and `_prune_nodes` drops nodes whose bounds sum to at most
     _PRUNE_EPS * f(0), with _PRUNE_EPS = 2^-52, so no sample moves by more
-    than that. The edge terms and f(0) are never pruned.
+    than that. The edge terms and f(0) are never pruned. `t` is dt*k for
+    k = 0 .. n-1, so only t[0] is zero.
     """
     w = model.points[:, 0]
     j = model.points[:, 1]
@@ -324,14 +349,13 @@ def _tabulated_correlation(model: Tabulated, t: np.ndarray) -> np.ndarray:
     keep, dropped = _prune_nodes(x, jumps, f0)
     log.debug("tabulated correlation: %d of %d nodes kept, dropped terms <= %.3g f(0), %d samples",
               np.count_nonzero(keep), keep.size, dropped / f0 if f0 else 0.0, t.size)
-    zero = t == 0.0
-    tp = t[~zero]
+    tp = t[1:]
 
     def edge(jv, wv):
         y = (wv - model.qubit_frequency) * tp
         return jv * (np.sin(y) - 2j * np.sin(0.5 * y) ** 2)
 
     values = np.empty(t.shape, dtype=complex)
-    values[zero] = f0
-    values[~zero] = _node_sum(tp, x[keep], jumps[keep]) / tp**2 + (edge(j[-1], w[-1]) - edge(j[0], w[0])) / tp
+    values[0] = f0
+    values[1:] = _node_sum(dt, t.size, x[keep], jumps[keep])[1:] / tp**2 + (edge(j[-1], w[-1]) - edge(j[0], w[0])) / tp
     return values

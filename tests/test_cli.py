@@ -582,10 +582,16 @@ class TestConfigHandling:
          (["sweep", "--width-from", "1", "--width-to", "2", "--steps", "2",
            "--min-tolerance", "inf"], f"{TOLERANCE_RANGE}, got inf"),
          (["measure", "--min-tolerance", "-1"], f"{TOLERANCE_RANGE}, got -1.0"),
-         (["measure", "--config", "{tmp}/tolerance.ini"], f"{TOLERANCE_RANGE}, got -1e-09")],
+         (["measure", "--config", "{tmp}/tolerance.ini"], f"{TOLERANCE_RANGE}, got -1e-09"),
+         # Negative values that argparse's own matcher reads as option names.
+         (["measure", "--min-tolerance", "-1e-3"], f"{TOLERANCE_RANGE}, got -0.001"),
+         (["measure", "--min-tolerance", "-1E+2"], f"{TOLERANCE_RANGE}, got -100.0"),
+         (["measure", "--width-ratio", "-inf"], "width must be positive, got -inf"),
+         (["measure", "--width-ratio", "-1E+2"], "width must be positive, got -100.0")],
         ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing",
              "min_tolerance_nan", "min_tolerance_inf", "min_tolerance_negative",
-             "min_tolerance_key_negative"],
+             "min_tolerance_key_negative", "min_tolerance_exponent", "min_tolerance_upper_exponent",
+             "width_ratio_minus_inf", "width_ratio_upper_exponent"],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "table.ini").write_text(

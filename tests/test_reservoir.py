@@ -418,6 +418,16 @@ class TestNodePruning:
         got = correlation(model, dt=t, n=2).values[1]
         assert abs(got - mpmath_tabulated(model, t)) <= (UNIT_ROUNDOFF + 1e-15) * f0
 
+    def test_realised_error_within_stated_bound_across_blocks(self):
+        # Five blocks of 128 samples, the last one partial: the samples on
+        # either side of each block start and the last sample.
+        model = benchmark_gaussian_table()
+        f0 = trapezoid_f0(model)
+        dt, n = 1e-3, 600
+        f = correlation(model, dt=dt, n=n)
+        for k in (1, 127, 128, 129, 255, 256, 511, 512, n - 1):
+            assert abs(f.values[k] - mpmath_tabulated(model, k * dt)) <= (UNIT_ROUNDOFF + 1e-15) * f0
+
     def test_gaussian_table_drops_most_nodes(self):
         model = benchmark_gaussian_table()
         f0 = trapezoid_f0(model)
@@ -435,9 +445,9 @@ class TestNodePruning:
         summed = []
         node_sum = reservoir._node_sum
 
-        def recording_node_sum(tp, x, jumps):
+        def recording_node_sum(dt, n, x, jumps):
             summed.append((x, jumps))
-            return node_sum(tp, x, jumps)
+            return node_sum(dt, n, x, jumps)
 
         monkeypatch.setattr(reservoir, "_node_sum", recording_node_sum)
         correlation(model, dt=0.37, n=30)
@@ -459,6 +469,33 @@ class TestNodePruning:
         kept, total, bound, samples = match.groups()
         assert int(kept) <= 300 and int(total) == 1000
         assert 0.0 < float(bound) <= UNIT_ROUNDOFF and int(samples) == 11
+
+
+def mpmath_g(u, v):
+    """g(y) = 1 - i y - e^{-iy} at y = u + v, summed and evaluated at 40 digits."""
+    with mpmath.workdps(40):
+        y = mpmath.mpf(u) + mpmath.mpf(v)
+        return complex(1 - 1j * y - mpmath.expj(-y))
+
+
+class TestNodeSumBlocks:
+    """The node sum splits each phase at its block start: g(u + v) from g(u), g(v) and e^{-iu}."""
+
+    def test_one_node_matches_direct_phase_sum(self):
+        # One node of unit jump, so the sum is g(x t) itself, at the phases
+        # u = x t_a and v = x tau_r the sum forms; |u + v| spans 1e-6 to 1e3.
+        rng = np.random.default_rng(29)
+        block = reservoir._NODE_BLOCK_TIMES
+        for _ in range(300):
+            x = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-3.0, 1.0)
+            dt = 10.0 ** rng.uniform(-5.0, 0.0)
+            b, r = int(rng.integers(0, 4)), int(rng.integers(0, block))
+            n = b * block + r + 1
+            got = reservoir._node_sum(dt, n, np.array([x]), np.array([1.0]))
+            u, v = (dt * (b * block)) * x, (dt * r) * x
+            want = mpmath_g(u, v)
+            assert abs(got[-1] - want) <= 4 * UNIT_ROUNDOFF * abs(want)
+            assert got[0] == 0.0
 
 
 class TestCorrelationSamples:
