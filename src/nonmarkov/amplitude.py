@@ -1,7 +1,8 @@
 """Excited-state survival amplitude b(t).
 
-For the resonant Lorentzian reservoir b(t) has closed forms in all three
-regimes. For everything else (and as a cross-check), the time-domain
+For the resonant Lorentzian reservoir b(t) has a closed form, one formula
+for the oscillatory regime and one for the critical and Markovian regimes.
+For everything else (and as a cross-check), the time-domain
 Volterra equation
 
     b'(t) = -int_0^t f(t - s) b(s) ds,   b(0) = 1,
@@ -88,26 +89,32 @@ class AmplitudeTrajectory:
 def lorentzian_closed_form(gamma0: float, width: float, t):
     """Resonant-Lorentzian b(t); scalar or array t, real-valued result.
 
-    Regime-appropriate branch, with the kappa -> 0 series limit inside a
-    relative window around the critical point to avoid cancellation.
+    With kappa = sqrt(|width^2 - 2 gamma0 width|) from `reservoir.kappa`
+    (Breuer & Petruccione, The Theory of Open Quantum Systems, sec. 10.1):
+    for gamma0 > width/2 and kappa > 0, b oscillates,
+        b = exp(-width t/2) [cos(kappa t/2) + (width/kappa) sin(kappa t/2)].
+    Otherwise b decays monotonically,
+        b = exp(-r t) [(1 + e^{-kappa t})/2 + (width/2) (1 - e^{-kappa t})/kappa],
+    with r = (width - kappa)/2 written as gamma0 width/(width + kappa), which
+    does not cancel, and 1 - e^{-kappa t} from expm1. The last term tends to
+    width t/2 as kappa -> 0, so at kappa = 0 the same line is the critical
+    exp(-width t/2)(1 + width t/2).
     """
-    if not (gamma0 > 0 and width > 0):
-        raise PhysicalityError("rates must be positive")
+    k = kappa(Lorentzian(gamma0=gamma0, width=width))  # Lorentzian checks both rates
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise PhysicalityError("t must be nonnegative")
-    k = np.sqrt(abs(width**2 - 2.0 * gamma0 * width))
-    if abs(width - 2.0 * gamma0) <= constants.CRITICAL_BRANCH_REL_TOL * width:
-        out = np.exp(-0.5 * width * tt) * (1.0 + 0.5 * width * tt)
-    elif gamma0 < 0.5 * width:
-        # exp(-width*t/2)[cosh + (width/k)sinh] regrouped into two decaying
-        # exponentials so large t cannot overflow the cosh.
-        out = 0.5 * (1.0 + width / k) * np.exp(-0.5 * (width - k) * tt) + 0.5 * (
-            1.0 - width / k
-        ) * np.exp(-0.5 * (width + k) * tt)
-    else:
+    if gamma0 > 0.5 * width and k > 0.0:
         out = np.exp(-0.5 * width * tt) * (
             np.cos(0.5 * k * tt) + (width / k) * np.sin(0.5 * k * tt)
+        )
+    else:
+        with np.errstate(over="ignore"):  # kappa t = inf is exact: e^{-kappa t} = 0
+            kt = k * tt
+        # (1 - e^{-kappa t})/kappa, and its limit t at kappa = 0.
+        decay = -np.expm1(-kt) / k if k > 0.0 else tt
+        out = np.exp(-(gamma0 * width / (width + k)) * tt) * (
+            0.5 * (1.0 + np.exp(-kt)) + 0.5 * width * decay
         )
     out = np.where(tt == 0.0, 1.0, out)  # initial condition exact by definition
     return out if out.ndim else float(out)
@@ -143,19 +150,17 @@ def default_horizon(gamma0: float, width: float) -> float:
 
     Non-Markovian: at least 20 oscillation periods and long enough that the
     amplitude envelope drops below the truncation cutoff. Otherwise ten
-    times the slowest decay time.
+    times the slowest decay time 1/(width - kappa) of |b|^2, written as
+    (width + kappa)/(2 gamma0 width), which does not cancel.
     """
     model = Lorentzian(gamma0=gamma0, width=width)
     k = kappa(model)
-    regime = classify_regime(model)
-    if regime is Regime.NON_MARKOVIAN:
+    if classify_regime(model) is Regime.NON_MARKOVIAN:
         periods = 40.0 * np.pi / k
         # Aim halfway below the cutoff so the truncation check has margin.
         envelope = 2.0 * np.log(2.0 * (1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
         return max(periods, envelope)
-    if regime is Regime.CRITICAL:
-        return 10.0 / width
-    return 10.0 / (width - k)
+    return 10.0 * (width + k) / (2.0 * gamma0 * width)
 
 
 def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTrajectory:

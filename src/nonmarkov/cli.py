@@ -479,8 +479,9 @@ def _sweep_point(cfg: RunConfig) -> str:
 def cmd_sweep(cfg: RunConfig, args, out) -> int:
     if args.steps < 2:
         raise ConfigError("sweep needs at least 2 steps")
-    if not (0 < args.width_from and 0 < args.width_to):
-        raise ConfigError("width ratios must be positive")
+    if not (0 < args.width_from < math.inf and 0 < args.width_to < math.inf):
+        raise ConfigError(f"width ratios must be positive and finite, got "
+                          f"{args.width_from} to {args.width_to}")
     if cfg.type != "lorentzian":
         raise ConfigError(f"sweep varies the Lorentzian width; model type {cfg.type!r} has none")
     points = [

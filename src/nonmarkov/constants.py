@@ -22,8 +22,9 @@ CHANNEL_INPUT_SLACK = 1e-8       # |b| <= 1 + this accepted by the channel
 MAX_STEPS = 2**31 // 256
 
 # Lorentzian regime boundaries
+# Labels reports and drives truncation only; the closed form branches on
+# the exact sign of gamma0 - width/2 and needs no window.
 CRITICAL_REGIME_REL_TOL = 1e-12  # classify: |gamma0 - width/2| <= this * width
-CRITICAL_BRANCH_REL_TOL = 1e-9   # closed form switches to the kappa -> 0 limit
 
 # Extremum detection and measure truncation
 PLATEAU_TOL = 1e-14          # |forward difference| below this is a plateau

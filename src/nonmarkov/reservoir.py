@@ -28,6 +28,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Union
 
@@ -117,7 +118,11 @@ SpectralModel = Union[Lorentzian, OhmicFamily, Tabulated]
 
 def load_tabulated(path, qubit_frequency: float) -> Tabulated:
     """Read a two-column (w, J) whitespace-separated file; '#' comments."""
-    pts = np.loadtxt(path, comments="#", ndmin=2)
+    with warnings.catch_warnings():
+        # A table with no rows fails Tabulated's shape check; numpy's warning
+        # about it would only repeat that on stderr.
+        warnings.simplefilter("ignore", UserWarning)
+        pts = np.loadtxt(path, comments="#", ndmin=2)
     return Tabulated(points=pts, qubit_frequency=qubit_frequency)
 
 
@@ -142,7 +147,11 @@ def kappa(model: Lorentzian) -> float:
     """Oscillation/relaxation rate scale sqrt(|width^2 - 2*gamma0*width|)."""
     if not isinstance(model, Lorentzian):
         raise UnsupportedModelError("kappa is defined for Lorentzian models")
-    return float(np.sqrt(abs(model.width**2 - 2.0 * model.gamma0 * model.width)))
+    width = float(model.width)
+    square = width * width
+    if square == math.inf:
+        raise PhysicalityError(f"width {width:g} is too large: width^2 overflows")
+    return float(np.sqrt(abs(square - 2.0 * model.gamma0 * width)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,11 +217,17 @@ def spectral_density(model: SpectralModel, omega) -> np.ndarray | float:
 def _ohmic_correlation(model: OhmicFamily, t: np.ndarray) -> np.ndarray:
     s = model.exponent
     try:
-        scale = model.coupling * model.cutoff**2 * math.gamma(s + 1.0)
+        gamma = math.gamma(s + 1.0)
     except OverflowError:
         raise PhysicalityError(
             f"exponent {s:g} is too large: Gamma({s + 1.0:g}) overflows"
         ) from None
+    scale = model.coupling * (model.cutoff * model.cutoff) * gamma
+    if scale == math.inf:
+        raise PhysicalityError(
+            f"coupling * cutoff^2 * Gamma({s + 1.0:g}) overflows "
+            f"(coupling {model.coupling:g}, cutoff {model.cutoff:g})"
+        )
     # (1 + i*cutoff*t)^-(s+1) on the principal branch, taken through its
     # logarithm so that large exponents underflow to 0 instead of inf/inf.
     log_denominator = (s + 1.0) * np.log1p(1j * model.cutoff * t)
@@ -343,10 +358,16 @@ def _tabulated_correlation(model: Tabulated, dt: float, t: np.ndarray) -> np.nda
     """
     w = model.points[:, 0]
     j = model.points[:, 1]
-    f0 = 0.5 * np.dot(j[:-1] + j[1:], np.diff(w))
-    nodes, jumps = _slope_jumps(w, j)
-    x = nodes - model.qubit_frequency
-    keep, dropped = _prune_nodes(x, jumps, f0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Overflows are reported below; an infinite bound only keeps its node.
+        f0 = 0.5 * np.dot(j[:-1] + j[1:], np.diff(w))
+        nodes, jumps = _slope_jumps(w, j)
+        x = nodes - model.qubit_frequency
+        keep, dropped = _prune_nodes(x, jumps, f0)
+    if not np.isfinite(f0):
+        raise PhysicalityError("the trapezoid integral of the tabulated J overflows")
+    if not np.isfinite(jumps).all():
+        raise PhysicalityError("a slope of the tabulated J overflows")
     log.debug("tabulated correlation: %d of %d nodes kept, dropped terms <= %.3g f(0), %d samples",
               np.count_nonzero(keep), keep.size, dropped / f0 if f0 else 0.0, t.size)
     tp = t[1:]

@@ -1,5 +1,6 @@
 """Tests for the closed-form amplitude and the Volterra solver."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -77,7 +78,53 @@ ORACLE_KERNELS = {
 }
 
 
+def mpmath_closed_form(width, t):
+    """b(t) at gamma0 = 1 from the three-regime formula, to 50 digits."""
+    with mpmath.workdps(50):
+        w, t = mpmath.mpf(width), mpmath.mpf(t)
+        d = w * w - 2 * w
+        if d == 0:
+            return mpmath.exp(-w * t / 2) * (1 + w * t / 2)
+        k = mpmath.sqrt(abs(d))
+        cos, sin = (mpmath.cosh, mpmath.sinh) if d > 0 else (mpmath.cos, mpmath.sin)
+        return mpmath.exp(-w * t / 2) * (cos(k * t / 2) + (w / k) * sin(k * t / 2))
+
+
+def oscillatory_closed_form(gamma0, width, t):
+    """The oscillatory branch as one expression, kappa from width**2: the bit oracle."""
+    k = np.sqrt(abs(width**2 - 2.0 * gamma0 * width))
+    out = np.exp(-0.5 * width * t) * (np.cos(0.5 * k * t) + (width / k) * np.sin(0.5 * k * t))
+    return np.where(t == 0.0, 1.0, out)
+
+
+# Around the critical width 2 on both sides, then Markovian out to where
+# width - kappa cancels to zero in floating point.
+ORACLE_WIDTHS = [2 * (1 - 1e-10), 2.0, 2 * (1 + 1e-10), 2 * (1 + 2e-9), 3.0, 10.0,
+                 1e4, 1e8, 1e12, 1e16]
+
+
 class TestClosedForm:
+    @pytest.mark.parametrize("width", ORACLE_WIDTHS)
+    def test_matches_mpmath_oracle(self, width):
+        t = np.array([0.01, 0.1, 0.5, 1.0]) * min(default_horizon(1.0, width), 50.0)
+        got = lorentzian_closed_form(1.0, width, t)
+        exact = [mpmath_closed_form(width, ti) for ti in t]
+        rel = np.array([float(abs((g - e) / e)) for g, e in zip(got, exact)])
+        # The oscillatory branch rounds the argument of exp(-width t/2) once,
+        # which alone moves b by up to 2^-53 * width t/2 relative.
+        slack = 2.0**-53 * 0.5 * width * t if width < 2.0 else 0.0
+        assert np.all(rel <= 1e-15 + slack), rel
+
+    @pytest.mark.parametrize("width", [0.1, 0.5, 1.0, 1.9])
+    def test_oscillatory_branch_bits(self, width):
+        t = np.linspace(0.0, default_horizon(1.0, width), 20001)
+        assert np.array_equal(lorentzian_closed_form(1.0, width, t),
+                              oscillatory_closed_form(1.0, width, t))
+
+    def test_critical_limit_is_exact_at_zero_kappa(self):
+        t = np.linspace(0.0, 10.0, 1001)
+        assert np.array_equal(lorentzian_closed_form(1.0, 2.0, t), np.exp(-t) * (1.0 + t))
+
     def test_initial_condition(self):
         for width in (0.1, 0.5, 1.0, 2.0, 10.0):
             assert lorentzian_closed_form(1.0, width, 0.0) == 1.0
@@ -104,14 +151,19 @@ class TestClosedForm:
         )
 
     def test_continuous_across_critical_point(self):
-        # Either branch evaluated just outside the critical window agrees
-        # with the series limit.
+        # Both regime formulas, just off the critical width, agree with the
+        # critical one.
         t = np.linspace(0.0, 5.0, 101)
         crit = lorentzian_closed_form(1.0, 2.0, t)
         above = lorentzian_closed_form(1.0, 2.0 + 1e-8, t)
         below = lorentzian_closed_form(1.0, 2.0 - 1e-8, t)
         assert np.max(np.abs(crit - above)) < 1e-6
         assert np.max(np.abs(crit - below)) < 1e-6
+
+    def test_kappa_t_past_overflow_decays_to_zero(self):
+        # kappa t overflows to inf, where e^{-kappa t} = 0 is exact.
+        b = lorentzian_closed_form(1.0, 1e150, np.array([0.0, 1.0, 1e160]))
+        assert b[0] == 1.0 and 0.0 < b[1] < 1.0 and b[2] == 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(PhysicalityError):
@@ -324,3 +376,12 @@ class TestHorizonAndEnvelope:
             10.0 / (10.0 - kappa(Lorentzian(1.0, 10.0))), abs=1e-12
         )
         assert default_horizon(1.0, 2.0) == pytest.approx(5.0, abs=1e-12)
+
+    @pytest.mark.parametrize("width", [3.0, 1e4, 1e8, 1e16, 1e150])
+    def test_default_horizon_is_ten_decay_times(self, width):
+        # 10/(width - kappa) at gamma0 = 1, which cancels in floating point;
+        # 400 digits hold width^2 - 2 width at width 1e150.
+        with mpmath.workdps(400):
+            w = mpmath.mpf(width)
+            exact = 10 / (w - mpmath.sqrt(w * w - 2 * w))
+            assert float(abs(default_horizon(1.0, width) / exact - 1)) <= 1e-15

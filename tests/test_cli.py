@@ -587,11 +587,19 @@ class TestConfigHandling:
          (["measure", "--min-tolerance", "-1e-3"], f"{TOLERANCE_RANGE}, got -0.001"),
          (["measure", "--min-tolerance", "-1E+2"], f"{TOLERANCE_RANGE}, got -100.0"),
          (["measure", "--width-ratio", "-inf"], "width must be positive, got -inf"),
-         (["measure", "--width-ratio", "-1E+2"], "width must be positive, got -100.0")],
+         (["measure", "--width-ratio", "-1E+2"], "width must be positive, got -100.0"),
+         (["sweep", "--width-from", "1", "--width-to", "inf", "--steps", "3"],
+          "width ratios must be positive and finite, got 1.0 to inf"),
+         (["sweep", "--width-from", "inf", "--width-to", "1", "--steps", "3"],
+          "width ratios must be positive and finite, got inf to 1.0"),
+         (["measure", "--width-ratio", "1e155"], "width 1e+155 is too large: width^2 overflows"),
+         (["sweep", "--width-from", "1", "--width-to", "1e308", "--steps", "3"],
+          "width 5e+307 is too large: width^2 overflows")],
         ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing",
              "min_tolerance_nan", "min_tolerance_inf", "min_tolerance_negative",
              "min_tolerance_key_negative", "min_tolerance_exponent", "min_tolerance_upper_exponent",
-             "width_ratio_minus_inf", "width_ratio_upper_exponent"],
+             "width_ratio_minus_inf", "width_ratio_upper_exponent", "sweep_width_to_inf",
+             "sweep_width_from_inf", "width_ratio_square_overflows", "sweep_width_square_overflows"],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "table.ini").write_text(
@@ -606,6 +614,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("nonmarkov: config error: ")
         assert fragment.format(tmp=tmp_path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "table, fragment",
+        [("", "points must be an (n >= 2, 2) array"),
+         ("# w J\n", "points must be an (n >= 2, 2) array"),
+         ("0 0\n1 1e308\n2 1e308\n3 0\n", "the trapezoid integral of the tabulated J overflows"),
+         ("0 1e308\n1 1e308\n", "the trapezoid integral of the tabulated J overflows"),
+         ("0 0\n1e-10 1e300\n1 0\n", "a slope of the tabulated J overflows")],
+        ids=["empty", "comment_only", "weight_overflows", "flat_weight_overflows",
+             "slope_overflows"],
+    )
+    def test_bad_table_is_one_line_config_error(self, tmp_path, capsys, table, fragment):
+        (tmp_path / "t.txt").write_text(table)
+        ini = tmp_path / "t.ini"
+        ini.write_text("[model]\ntype = tabulated\ntable = t.txt\nqubit_frequency = 0.5\n"
+                       "[solver]\ndt = 0.01\nt_max = 1\n")
+        assert run(tmp_path, "measure", "--config", str(ini))[0] == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("nonmarkov: config error: ")
+        assert fragment in err
 
     def test_out_of_memory_is_one_line(self, tmp_path, capsys, monkeypatch):
         # numpy's allocation failure is a MemoryError subclass; the sweep's
@@ -847,3 +875,35 @@ class TestOhmicEndToEnd:
         code, _ = run(tmp_path, "simulate", "--config", str(ini))
         assert code == EXIT_CONFIG
         assert "overflows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "model, message",
+        [("coupling = 0.2\nexponent = 200\ncutoff = 2.0",
+          "exponent 200 is too large: Gamma(201) overflows"),
+         ("coupling = 1e300\nexponent = 1\ncutoff = 1e200",
+          "coupling * cutoff^2 * Gamma(2) overflows (coupling 1e+300, cutoff 1e+200)")],
+        ids=["gamma", "prefactor"],
+    )
+    def test_overflow_names_its_factor(self, tmp_path, capsys, model, message):
+        ini = tmp_path / "ohmic.ini"
+        ini.write_text(f"[model]\ntype = ohmic\n{model}\nqubit_frequency = 5.0\n"
+                       "[solver]\ndt = 0.01\nt_max = 1.0\n")
+        assert run(tmp_path, "measure", "--config", str(ini))[0] == EXIT_CONFIG
+        assert capsys.readouterr().err == f"nonmarkov: config error: {message}\n"
+
+
+class TestLargeWidths:
+    @pytest.mark.parametrize("width", ["1e16", "1e17", "1e150"])
+    def test_measure_is_markovian_with_zero_totals(self, tmp_path, capsys, width):
+        code, text = run(tmp_path, "measure", "--width-ratio", width)
+        assert code == EXIT_OK and capsys.readouterr().err == ""
+        bundle = json.loads(text)
+        assert bundle["regime"] == "markovian"
+        assert [bundle[key]["total"] for key in ("n_single", "n_eg", "n_two_lower")] == [0.0] * 3
+
+    @pytest.mark.parametrize("width, b1", [("1e8", "0.606530661229"), ("1e17", "0.606530659713")])
+    def test_simulate_row_at_one(self, tmp_path, width, b1):
+        # b(1) = exp(-r)(1/2 + width/(2 kappa)) to within e^-kappa, r = (width - kappa)/2.
+        code, text = run(tmp_path, "simulate", "--width-ratio", width, "--t-max", "2", "--dt", "0.1")
+        assert code == EXIT_OK
+        assert [row for row in text.splitlines() if row.startswith("1,")][0].startswith(f"1,{b1},0,")

@@ -78,6 +78,16 @@ class TestKappa:
         assert kappa(Lorentzian(1.0, 2.0)) == 0.0
         assert kappa(Lorentzian(1.0, 1.0)) == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("width", [0.1, 1.9, 3.0, 1e8, 1e150, 1.3e154])
+    def test_square_has_the_bits_of_power(self, width):
+        assert kappa(Lorentzian(1.0, width)) == float(np.sqrt(abs(width**2 - 2.0 * width)))
+
+    @pytest.mark.parametrize("width", [1.4e154, 1e200, 1.7e308])
+    def test_overflowing_square_rejected(self, width):
+        message = f"width {width:g} is too large: width^2 overflows"
+        with pytest.raises(PhysicalityError, match=re.escape(message)):
+            kappa(Lorentzian(1.0, width))
+
 
 def lorentzian_j(delta, gamma0, width):
     return gamma0 * width**2 / (2.0 * np.pi * (delta**2 + width**2))
@@ -197,6 +207,12 @@ class TestOhmicCorrelation:
     def test_gamma_overflow_rejected(self):
         model = OhmicFamily(coupling=0.1, exponent=200.0, cutoff=1.0, qubit_frequency=1.0)
         with pytest.raises(PhysicalityError, match="overflows"):
+            correlation(model, dt=0.1, n=5)
+
+    @pytest.mark.parametrize("coupling, cutoff", [(1e300, 1e200), (1e300, 1e100), (1e10, 1e150)])
+    def test_prefactor_overflow_names_the_prefactor(self, coupling, cutoff):
+        model = OhmicFamily(coupling=coupling, exponent=1.0, cutoff=cutoff, qubit_frequency=1.0)
+        with pytest.raises(PhysicalityError, match=r"^coupling \* cutoff\^2 \* Gamma\(2\) overflows"):
             correlation(model, dt=0.1, n=5)
 
 
