@@ -2,6 +2,8 @@
 
 For the resonant Lorentzian reservoir b(t) has a closed form, one formula
 for the oscillatory regime and one for the critical and Markovian regimes.
+`_oscillates` holds the condition between them, which also decides where
+the envelope bound on |b| exists.
 For everything else (and as a cross-check), the time-domain
 Volterra equation
 
@@ -13,6 +15,9 @@ the history integral. The scheme is linear with a Toeplitz history sum, so
 all steps are solved at once as one power-series division, by Newton
 doubling with FFT products: O(N log N) in the step count, with no loop
 over steps.
+
+`AmplitudeTrajectory` stores b on `reservoir`'s sample grid and adds
+b(0) = 1, at least two samples and |b| <= 1 + AMPLITUDE_BOUND_SLACK.
 """
 
 from __future__ import annotations
@@ -24,7 +29,8 @@ import numpy as np
 
 from . import constants
 from .errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
-from .reservoir import CorrelationSamples, Lorentzian, Regime, SpectralModel, classify_regime, correlation, is_resonant, kappa
+from .reservoir import (CorrelationSamples, Lorentzian, Regime, SpectralModel, _SampleGrid,
+                        classify_regime, correlation, is_resonant, kappa)
 
 
 class Method(enum.Enum):
@@ -50,7 +56,7 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class AmplitudeTrajectory:
+class AmplitudeTrajectory(_SampleGrid):
     """b(n*dt) on a uniform grid, b(0) = 1.
 
     `lorentzian` carries the generating model when it is a resonant
@@ -58,32 +64,21 @@ class AmplitudeTrajectory:
     bounds. It is None for general spectra.
     """
 
-    dt: float
-    values: np.ndarray
     lorentzian: Lorentzian | None = None
 
-    def __post_init__(self):
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise PhysicalityError(f"dt must be positive, got {self.dt}")
-        v = np.asarray(self.values, dtype=complex)
-        if v.ndim != 1 or v.size < 2:
+    def _check(self, v: np.ndarray) -> None:
+        if v.size < 2:
             raise PhysicalityError("trajectory needs at least two samples")
-        if not np.isfinite(v).all():
-            raise PhysicalityError("trajectory contains non-finite samples")
         if v[0] != 1.0:
             raise PhysicalityError(f"b(0) must be exactly 1, got {v[0]}")
         peak = float(np.max(np.abs(v)))
         if peak > 1.0 + constants.AMPLITUDE_BOUND_SLACK:
             raise PhysicalityError(f"|b| reaches {peak!r}, beyond 1 + slack")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
 
-    @property
-    def t_max(self) -> float:
-        return self.dt * (self.values.size - 1)
 
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.size)
+def _oscillates(gamma0: float, width: float, k: float) -> bool:
+    """The closed form's oscillatory condition, gamma0 > width/2 and kappa > 0."""
+    return gamma0 > 0.5 * width and k > 0.0
 
 
 def lorentzian_closed_form(gamma0: float, width: float, t):
@@ -104,7 +99,7 @@ def lorentzian_closed_form(gamma0: float, width: float, t):
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise PhysicalityError("t must be nonnegative")
-    if gamma0 > 0.5 * width and k > 0.0:
+    if _oscillates(gamma0, width, k):
         out = np.exp(-0.5 * width * tt) * (
             np.cos(0.5 * k * tt) + (width / k) * np.sin(0.5 * k * tt)
         )
@@ -138,9 +133,13 @@ def lorentzian_min_times(gamma0: float, width: float, n_max: int) -> np.ndarray:
 
 
 def amplitude_envelope(gamma0: float, width: float, t) -> np.ndarray:
-    """Decaying bound exp(-width*t/2)(1 + width/kappa) on |b(t)|, non-Markovian."""
+    """Decaying bound exp(-width*t/2)(1 + width/kappa) on |b(t)| in the oscillatory regime.
+
+    Elsewhere |b| decays more slowly than exp(-width*t/2), so there is no
+    such bound and NoZerosError is raised.
+    """
     k = kappa(Lorentzian(gamma0=gamma0, width=width))
-    if k == 0.0:
+    if not _oscillates(gamma0, width, k):
         raise NoZerosError("envelope bound is defined for the oscillatory regime")
     return np.exp(-0.5 * width * np.asarray(t, dtype=float)) * (1.0 + width / k)
 

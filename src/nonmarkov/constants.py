@@ -12,10 +12,10 @@ PSD_EIGENVALUE_FLOOR = -1e-10  # smallest eigenvalue accepted as "positive"
 # State parameterization
 COHERENCE_SLACK = 1e-12      # |beta|^2 <= alpha(1-alpha) + this
 
-# Amplitude trajectories
-AMPLITUDE_BOUND_SLACK = 1e-8     # |b(t)| <= 1 + this for stored trajectories
+# Amplitudes: trajectories, channel inputs and the signals made from them
+AMPLITUDE_BOUND_SLACK = 1e-8     # |b| <= 1 + this: stored trajectories and channel inputs;
+                                 # signals stay within [0, 1] by this
 AMPLITUDE_INSTABILITY_SLACK = 1e-6  # solver aborts past 1 + this
-CHANNEL_INPUT_SLACK = 1e-8       # |b| <= 1 + this accepted by the channel
 
 # Largest step count round(t_max/dt) the CLI runs: a 2 GiB budget at 256
 # bytes per step (a Volterra `measure` peaks near 225 bytes per step).

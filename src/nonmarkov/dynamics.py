@@ -11,10 +11,13 @@ covers entangled (Bell) inputs.
 
 The closed forms (`trace_distance_single`, `trace_distance_two`,
 `concurrence_bell`) take a scalar or an array of amplitudes and broadcast
-over it; the trajectory signals are these same functions applied to b(t).
-The population |b|^2 and the single-qubit distance are clipped at 1, so
-amplitudes within the channel's slack above 1 still give signals in
-[0, 1].
+over it; the trajectory signals are these same functions applied to b(t),
+stored as `ScalarTrajectory` on `reservoir`'s sample grid. The channel
+takes |b| up to 1 + AMPLITUDE_BOUND_SLACK, the bound on stored
+trajectories. The population |b|^2 and the single-qubit distance are
+clipped at 1, so those amplitudes still give signals in [0, 1].
+The square root in a pair's single-qubit distance is `_distance_over_b`,
+which `measure` also uses to check D <= |b| and to score pairs.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from . import constants
 from .amplitude import AmplitudeTrajectory
 from .errors import PhysicalityError
 from .linalg import DensityMatrix, kron
-from .reservoir import Lorentzian
+from .reservoir import Lorentzian, _SampleGrid
 
 
 @dataclass(frozen=True)
@@ -58,32 +61,16 @@ class StatePair:
 
 
 @dataclass(frozen=True, eq=False)
-class ScalarTrajectory:
+class ScalarTrajectory(_SampleGrid):
     """A real signal on a uniform grid: trace distance, population, concurrence."""
 
-    dt: float
-    values: np.ndarray
     lorentzian: Lorentzian | None = None
 
-    def __post_init__(self):
-        if not (self.dt > 0 and np.isfinite(self.dt)):
-            raise PhysicalityError(f"dt must be positive, got {self.dt}")
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size < 1:
-            raise PhysicalityError("values must be a nonempty 1-d array")
-        if not np.isfinite(v).all():
-            raise PhysicalityError("signal contains non-finite samples")
+    _dtype = float
+
+    def _check(self, v: np.ndarray) -> None:
         if v.min() < -constants.AMPLITUDE_BOUND_SLACK or v.max() > 1.0 + constants.AMPLITUDE_BOUND_SLACK:
             raise PhysicalityError("signal leaves [0, 1] beyond tolerance")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    @property
-    def t_max(self) -> float:
-        return self.dt * (self.values.size - 1)
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.values.size)
 
 
 def excited_state() -> QubitInitialState:
@@ -117,7 +104,7 @@ def density_matrix(state: QubitInitialState) -> DensityMatrix:
 def _check_amplitude(b: complex | np.ndarray) -> float | np.ndarray:
     """|b| of a scalar or array amplitude, each element at most 1 + slack."""
     x = np.abs(b)
-    if np.count_nonzero(x > 1.0 + constants.CHANNEL_INPUT_SLACK):
+    if np.count_nonzero(x > 1.0 + constants.AMPLITUDE_BOUND_SLACK):
         raise PhysicalityError(f"|b| = {float(np.max(x))!r} exceeds 1 beyond tolerance")
     return x
 
@@ -155,12 +142,20 @@ def evolve_single(state: QubitInitialState, b: complex) -> DensityMatrix:
     return DensityMatrix(_evolved(state, b))
 
 
+def _distance_over_b(x, a2, b2):
+    """sqrt(x^2 a2 + b2), a pair's trace distance over |b| = x.
+
+    a2 = (alpha-mu)^2 and b2 = |beta-nu|^2; `measure` scores pairs with it.
+    """
+    return np.sqrt(x * x * a2 + b2)
+
+
 def trace_distance_single(pair: StatePair, b: complex | np.ndarray) -> float | np.ndarray:
     """|b| sqrt(|b|^2 (alpha-mu)^2 + |beta-nu|^2), the closed-form distance, clipped at 1."""
     x = _check_amplitude(b)
     da = pair.first.alpha - pair.second.alpha
     db = abs(pair.first.beta - pair.second.beta)
-    return np.minimum(x * np.sqrt(x * x * da * da + db * db), 1.0)
+    return np.minimum(x * _distance_over_b(x, da * da, db * db), 1.0)
 
 
 def pair_distance_trajectory(traj: AmplitudeTrajectory, pair: StatePair) -> ScalarTrajectory:

@@ -20,6 +20,7 @@ from .dynamics import (
     ScalarTrajectory,
     StatePair,
     QubitInitialState,
+    _distance_over_b,
     optimal_distance_trajectory,
     pair_distance_trajectory,
     trace_distance_two,
@@ -83,15 +84,15 @@ def _v_vertex(v, m):
     return x, v[m] + s_right * x
 
 
-def find_extrema(sig: ScalarTrajectory, min_tol: float = 0.0) -> list[ExtremumInterval]:
+def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
     """Locate rising intervals (local min -> next local max) of a signal.
 
     Sign changes of the forward difference mark extrema; isolated ones are
     refined by parabolic interpolation (minima additionally try the
     cusp-aware two-line fit and keep whichever lies lower). Plateau runs
     (|difference| < plateau tolerance) are merged and reported at their
-    leftmost sample. Intervals whose rise does not exceed `min_tol` are
-    dropped. A monotone signal yields an empty list.
+    leftmost sample. Intervals that do not rise are dropped. A monotone
+    signal yields an empty list.
     """
     v = sig.values
     if v.size < 3:
@@ -128,13 +129,9 @@ def find_extrema(sig: ScalarTrajectory, min_tol: float = 0.0) -> list[ExtremumIn
         if kind >= 0 or i + 1 >= len(extrema):
             continue
         t_hi, v_hi, _ = extrema[i + 1]
-        if v_hi - v_lo <= min_tol:
+        if v_hi <= v_lo:
             continue
-        intervals.append(
-            ExtremumInterval(
-                t_min=t_lo, t_max=t_hi, value_at_min=v_lo, value_at_max=max(v_hi, v_lo)
-            )
-        )
+        intervals.append(ExtremumInterval(t_min=t_lo, t_max=t_hi, value_at_min=v_lo, value_at_max=v_hi))
     return intervals
 
 
@@ -214,9 +211,9 @@ def _report(intervals, contributions, horizon, tail_bound, model: Lorentzian | N
     )
 
 
-def blp_from_trajectory(d: ScalarTrajectory, min_tol: float = 0.0) -> NonMarkovianityReport:
+def blp_from_trajectory(d: ScalarTrajectory) -> NonMarkovianityReport:
     """Summed growth of a distance signal over its rising intervals."""
-    intervals = find_extrema(d, min_tol)
+    intervals = find_extrema(d)
     contributions = [iv.rise() for iv in intervals]
     return _report(
         intervals, contributions, d.t_max, _generic_tail_bound(contributions), d.lorentzian
@@ -448,7 +445,7 @@ def verify_theorem(
         )
         # D(t) - scale*|b(t)| = |b| (sqrt(|b|^2 A + B) - scale) grows with |b|
         # wherever it is positive, so the grid maximum sits at max|b|.
-        ratios = np.sqrt(x * x * (alpha - mu) ** 2 + np.abs(beta - nu) ** 2)
+        ratios = _distance_over_b(x, (alpha - mu) ** 2, np.abs(beta - nu) ** 2)
         excess = x * (ratios - bound_scale)
         violations += int(np.sum(excess > constants.THEOREM_SLACK))
         max_ratio = max(max_ratio, float(np.max(ratios)))
@@ -486,18 +483,13 @@ class BruteForceResult:
 def _score(intervals, a2, b2) -> np.ndarray:
     """Sum hi sqrt(hi^2 a2 + b2) - lo sqrt(lo^2 a2 + b2) over `intervals`.
 
-    The terms are added in interval order; a minimum of exactly zero makes
-    its term exactly 0.0, and x - 0.0 is x, so that term is skipped with no
-    change to any bit. The row bounds and the cell scores both come from
-    here, so equal inputs give equal bits.
+    The terms are added in interval order. The row bounds and the cell
+    scores both come from here, so equal inputs give equal bits.
     """
     score = np.zeros(np.broadcast_shapes(np.shape(a2), np.shape(b2)))
     for iv in intervals:
         hi, lo = iv.value_at_max, iv.value_at_min
-        term = hi * np.sqrt(hi * hi * a2 + b2)
-        if lo != 0.0:
-            term -= lo * np.sqrt(lo * lo * a2 + b2)
-        score += term
+        score += hi * _distance_over_b(hi, a2, b2) - lo * _distance_over_b(lo, a2, b2)
     return score
 
 

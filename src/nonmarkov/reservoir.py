@@ -20,7 +20,13 @@ sample's phase at the start of its 128-sample block, so for n samples its
 trig work is (n/128 + 128) * kept nodes, plus one complex matrix product of
 (n/128) x kept nodes by kept nodes x 128. It runs over bounded chunks of
 nodes and blocks and takes y - sin(y) from its Taylor series at small
-phases, so it loses no digits to cancellation at small t.
+phases, so it loses no digits to cancellation at small t. A step so small
+that its t^-2 factor overflows is rejected.
+
+Every sampled function of time - the correlation samples here, b(t) in
+`amplitude` and the signals in `dynamics` - is a `_SampleGrid`: a positive,
+finite dt and a nonempty, finite, read-only 1-d array of values at
+t = n*dt. Each subclass adds only its own checks.
 """
 
 from __future__ import annotations
@@ -151,28 +157,56 @@ def kappa(model: Lorentzian) -> float:
     square = width * width
     if square == math.inf:
         raise PhysicalityError(f"width {width:g} is too large: width^2 overflows")
-    return float(np.sqrt(abs(square - 2.0 * model.gamma0 * width)))
+    product = 2.0 * float(model.gamma0) * width
+    if product == math.inf:
+        raise PhysicalityError(
+            f"gamma0 {model.gamma0:g} and width {width:g} are too large: 2*gamma0*width overflows"
+        )
+    return float(np.sqrt(abs(square - product)))
 
 
 @dataclass(frozen=True, eq=False)
-class CorrelationSamples:
-    """f(n*dt) on a uniform grid, n = 0 .. len(values)-1."""
+class _SampleGrid:
+    """Values at t = n*dt, n = 0 .. len(values)-1: a nonempty, finite, read-only 1-d array of `_dtype`.
+
+    Each subclass adds its own checks in `_check`.
+    """
 
     dt: float
     values: np.ndarray
 
+    _dtype = complex
+
     def __post_init__(self):
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise PhysicalityError(f"dt must be positive, got {self.dt}")
-        v = np.asarray(self.values, dtype=complex)
+        v = np.asarray(self.values, dtype=self._dtype)
         if v.ndim != 1 or v.size < 1:
             raise PhysicalityError("values must be a nonempty 1-d array")
         if not np.isfinite(v).all():
-            raise PhysicalityError("correlation samples must be finite")
-        if np.max(np.abs(v)) > 0 and not v[0].real > 0:
-            raise PhysicalityError("f(0) must have positive real part for nontrivial coupling")
+            raise PhysicalityError("values must be finite")
+        self._check(v)
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+
+    def _check(self, v: np.ndarray) -> None:
+        """Checks of the subclass on the converted values."""
+
+    @property
+    def t_max(self) -> float:
+        return self.dt * (self.values.size - 1)
+
+    def times(self) -> np.ndarray:
+        return self.dt * np.arange(self.values.size)
+
+
+@dataclass(frozen=True, eq=False)
+class CorrelationSamples(_SampleGrid):
+    """f(n*dt) on a uniform grid, n = 0 .. len(values)-1."""
+
+    def _check(self, v: np.ndarray) -> None:
+        if np.max(np.abs(v)) > 0 and not v[0].real > 0:
+            raise PhysicalityError("f(0) must have positive real part for nontrivial coupling")
 
 
 def correlation(model: SpectralModel, dt: float, n: int) -> CorrelationSamples:
@@ -378,5 +412,9 @@ def _tabulated_correlation(model: Tabulated, dt: float, t: np.ndarray) -> np.nda
 
     values = np.empty(t.shape, dtype=complex)
     values[0] = f0
-    values[1:] = _node_sum(dt, t.size, x[keep], jumps[keep])[1:] / tp**2 + (edge(j[-1], w[-1]) - edge(j[0], w[0])) / tp
+    node_sum = _node_sum(dt, t.size, x[keep], jumps[keep])[1:]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # reported below
+        values[1:] = node_sum / tp**2 + (edge(j[-1], w[-1]) - edge(j[0], w[0])) / tp
+    if not np.isfinite(values).all():
+        raise PhysicalityError(f"dt {dt:g} is too small for a tabulated spectrum: the t^-2 factor overflows")
     return values

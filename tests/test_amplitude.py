@@ -1,5 +1,7 @@
 """Tests for the closed-form amplitude and the Volterra solver."""
 
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -124,6 +126,11 @@ class TestClosedForm:
     def test_critical_limit_is_exact_at_zero_kappa(self):
         t = np.linspace(0.0, 10.0, 1001)
         assert np.array_equal(lorentzian_closed_form(1.0, 2.0, t), np.exp(-t) * (1.0 + t))
+
+    def test_overflowing_kappa_product_rejected(self):
+        message = "gamma0 1e+300 and width 1e+10 are too large: 2*gamma0*width overflows"
+        with pytest.raises(PhysicalityError, match=re.escape(message)):
+            lorentzian_closed_form(1e300, 1e10, 1.0)
 
     def test_initial_condition(self):
         for width in (0.1, 0.5, 1.0, 2.0, 10.0):
@@ -365,6 +372,13 @@ class TestHorizonAndEnvelope:
         b = np.abs(lorentzian_closed_form(1.0, 0.1, t))
         env = amplitude_envelope(1.0, 0.1, t)
         assert np.all(b <= env + 1e-12)
+
+    @pytest.mark.parametrize("width", [2.0, 2.5, 3.0, 10.0])
+    def test_envelope_outside_oscillatory_regime_raises(self, width):
+        # There |b| decays more slowly than exp(-width t/2): at width 10 and
+        # t = 100 the formula would give 1.5e-217, against |b| = 1.3e-23.
+        with pytest.raises(NoZerosError):
+            amplitude_envelope(1.0, width, 100.0)
 
     def test_default_horizon_covers_envelope_cutoff(self):
         for width in (0.1, 0.5, 1.0):

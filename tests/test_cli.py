@@ -907,3 +907,36 @@ class TestLargeWidths:
         code, text = run(tmp_path, "simulate", "--width-ratio", width, "--t-max", "2", "--dt", "0.1")
         assert code == EXIT_OK
         assert [row for row in text.splitlines() if row.startswith("1,")][0].startswith(f"1,{b1},0,")
+
+
+class TestTabulatedTinyStep:
+    """A tabulated spectrum at a step so small that t^-2 overflows fails with one stderr line."""
+
+    def run_tabulated(self, tmp_path, dt):
+        import os
+        import subprocess
+        import sys
+
+        w = np.linspace(0.0, 200.0, 1000)
+        np.savetxt(tmp_path / "table.txt", np.column_stack([w, np.exp(-0.5 * ((w - 100.0) / 3.0) ** 2)]))
+        ini = tmp_path / "tabulated.ini"
+        ini.write_text(f"[model]\ntype = tabulated\ntable = {tmp_path / 'table.txt'}\n"
+                       "qubit_frequency = 100\n")
+        env = {k: v for k, v in os.environ.items() if k not in ("NM_LOG", "PYTHONWARNINGS")}
+        return subprocess.run(
+            [sys.executable, "-m", "nonmarkov.cli", "measure", "--config", str(ini),
+             "--dt", dt, "--t-max", f"{10 * float(dt):g}", "--out", str(tmp_path / "m.json")],
+            env=env, capture_output=True, text=True,
+        )
+
+    @pytest.mark.parametrize("dt", ["5e-155", "1e-300"])
+    def test_overflow_is_one_config_error_line(self, tmp_path, dt):
+        proc = self.run_tabulated(tmp_path, dt)
+        assert proc.returncode == EXIT_CONFIG
+        assert proc.stderr.splitlines() == [
+            f"nonmarkov: config error: dt {float(dt):g} is too small for a tabulated spectrum: "
+            "the t^-2 factor overflows"]
+
+    def test_small_step_still_runs(self, tmp_path):
+        proc = self.run_tabulated(tmp_path, "1e-150")
+        assert proc.returncode == EXIT_OK and proc.stderr == ""

@@ -105,12 +105,13 @@ class TestFindExtrema:
         # the max is a slope kink, so sub-grid refinement only lands nearby
         assert intervals[0].value_at_max == pytest.approx(0.6, abs=5e-3)
 
-    def test_prominence_filter(self):
-        t = np.arange(0.0, 30.0, 0.01)
-        v = 0.5 + 0.001 * np.cos(t) * np.exp(-0.01 * t)
-        sig = ScalarTrajectory(dt=0.01, values=v)
-        assert len(find_extrema(sig)) > 0
-        assert find_extrema(sig, min_tol=0.1) == []
+    def test_non_rising_interval_dropped(self):
+        # Minima within the slack below zero are clipped to 0, so the small
+        # bump between them, still below zero, does not rise.
+        v = np.array([0.3, 0.1, -2e-9, -1e-9, -3e-9, 0.2, 0.4, 0.3])
+        [interval] = find_extrema(ScalarTrajectory(dt=1.0, values=v))
+        assert interval.t_min == pytest.approx(4.0, abs=0.5)
+        assert interval.value_at_min == 0.0 and interval.value_at_max >= 0.4
 
 
 class TestBlp:

@@ -12,6 +12,8 @@ from scipy import integrate
 from scipy.special import gamma as gamma_fn
 
 from nonmarkov import reservoir
+from nonmarkov.amplitude import AmplitudeTrajectory
+from nonmarkov.dynamics import ScalarTrajectory
 from nonmarkov.errors import PhysicalityError, UnsupportedModelError
 from nonmarkov.reservoir import (
     CorrelationSamples,
@@ -81,6 +83,17 @@ class TestKappa:
     @pytest.mark.parametrize("width", [0.1, 1.9, 3.0, 1e8, 1e150, 1.3e154])
     def test_square_has_the_bits_of_power(self, width):
         assert kappa(Lorentzian(1.0, width)) == float(np.sqrt(abs(width**2 - 2.0 * width)))
+
+    @pytest.mark.parametrize("gamma0, width", [(8e307, 1.0), (1e300, 1e7), (1e-300, 1e150)])
+    def test_finite_product_has_its_bits(self, gamma0, width):
+        assert kappa(Lorentzian(gamma0, width)) == float(np.sqrt(abs(width * width - 2.0 * gamma0 * width)))
+
+    @pytest.mark.parametrize("gamma0, width", [(1e300, 1e10), (1.7e308, 2.0), (np.float64(1e300), 1e10)],
+                             ids=["float", "near_max", "numpy_scalar"])
+    def test_overflowing_product_rejected(self, gamma0, width):
+        message = f"gamma0 {gamma0:g} and width {width:g} are too large: 2*gamma0*width overflows"
+        with pytest.raises(PhysicalityError, match=re.escape(message)):
+            kappa(Lorentzian(gamma0, width))
 
     @pytest.mark.parametrize("width", [1.4e154, 1e200, 1.7e308])
     def test_overflowing_square_rejected(self, width):
@@ -522,3 +535,32 @@ class TestCorrelationSamples:
     def test_zero_kernel_allowed(self):
         f = CorrelationSamples(dt=0.1, values=np.zeros(5, dtype=complex))
         assert f.values.size == 5
+
+
+GRID_TYPES = [CorrelationSamples, AmplitudeTrajectory, ScalarTrajectory]
+
+
+class TestSampleGrid:
+    """The grid checks that the correlation, amplitude and signal containers share."""
+
+    @pytest.mark.parametrize("grid_type", GRID_TYPES, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize(
+        "dt, values, message",
+        [(0.0, [1.0, 0.5], "dt must be positive"),
+         (math.nan, [1.0, 0.5], "dt must be positive"),
+         (math.inf, [1.0, 0.5], "dt must be positive"),
+         (0.1, [[1.0, 0.5], [0.5, 0.25]], "values must be a nonempty 1-d array"),
+         (0.1, [], "values must be a nonempty 1-d array"),
+         (0.1, [1.0, math.nan], "values must be finite")],
+        ids=["dt_zero", "dt_nan", "dt_inf", "two_d", "empty", "nan_value"],
+    )
+    def test_bad_grid_rejected(self, grid_type, dt, values, message):
+        with pytest.raises(PhysicalityError, match=re.escape(message)):
+            grid_type(dt, np.array(values))
+
+    @pytest.mark.parametrize("grid_type", GRID_TYPES, ids=lambda c: c.__name__)
+    def test_read_only_values_and_times(self, grid_type):
+        grid = grid_type(0.5, [1.0, 0.5, 0.25])
+        assert not grid.values.flags.writeable
+        assert grid.t_max == 1.0
+        assert np.array_equal(grid.times(), [0.0, 0.5, 1.0])
