@@ -1,10 +1,12 @@
 """Excited-state survival amplitude b(t).
 
-For the resonant Lorentzian reservoir b(t) has a closed form, one formula
-for the oscillatory regime and one for the critical and Markovian regimes.
-`_oscillates` holds the condition between them, which also decides where
-the envelope bound on |b| exists.
-For everything else (and as a cross-check), the time-domain
+For every Lorentzian reservoir b(t) has a closed form. At zero detuning
+there is one formula for the oscillatory regime and one for the critical
+and Markovian regimes; `_oscillates` holds the condition between them,
+which also decides where the envelope bound on |b| exists. At any other
+detuning b(t) is a sum over the two poles of its Laplace transform,
+written from the slower pole so that it does not cancel.
+For the other spectra (and as a cross-check), the time-domain
 Volterra equation
 
     b'(t) = -int_0^t f(t - s) b(s) ds,   b(0) = 1,
@@ -22,7 +24,9 @@ b(0) = 1, at least two samples and |b| <= 1 + AMPLITUDE_BOUND_SLACK.
 
 from __future__ import annotations
 
+import cmath
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,7 @@ import numpy as np
 from . import constants
 from .errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
 from .reservoir import (CorrelationSamples, Lorentzian, Regime, SpectralModel, _SampleGrid,
-                        classify_regime, correlation, is_resonant, kappa)
+                        classify_regime, correlation, kappa)
 
 
 class Method(enum.Enum):
@@ -61,7 +65,7 @@ class AmplitudeTrajectory(_SampleGrid):
 
     `lorentzian` carries the generating model when it is a resonant
     Lorentzian; the measure module uses it for envelope-based truncation
-    bounds. It is None for general spectra.
+    bounds. It is None for detuned Lorentzians and general spectra.
     """
 
     lorentzian: Lorentzian | None = None
@@ -115,6 +119,47 @@ def lorentzian_closed_form(gamma0: float, width: float, t):
     return out if out.ndim else float(out)
 
 
+def _poles(model: Lorentzian) -> tuple[complex, complex]:
+    """(s1, d): the slower root s1 of s^2 + a s + gamma0 width/2, a = width - i detuning, and d = s1 - s2.
+
+    With r the principal square root of a^2 - 2 gamma0 width, so Re r >= 0,
+    the roots are s1 = (r - a)/2 and s2 = -(a + r)/2, and d = r. So
+    Re s1 >= Re s2, and s2 does not cancel: Re(a + r) >= width > 0. s1 comes
+    from s1 s2 = gamma0 width/2 instead of the difference. r is formed in
+    units of |a|, so no square overflows.
+    """
+    kappa(model)  # checks that width^2 and 2 gamma0 width are finite
+    gamma0, width = model.gamma0, model.width
+    scale = math.hypot(width, model.detuning)
+    a = complex(width, -model.detuning) / scale
+    r = cmath.sqrt(a * a - 2.0 * gamma0 * width / scale / scale)
+    s2 = -0.5 * scale * (a + r)
+    return 0.5 * gamma0 * width / s2, scale * r
+
+
+def _detuned_closed_form(model: Lorentzian, t) -> np.ndarray:
+    """Lorentzian b(t) at any detuning; array t, complex result.
+
+    The Laplace transform of b is (s + a)/(s^2 + a s + gamma0 width/2), with
+    a = width - i detuning (Breuer & Petruccione, The Theory of Open Quantum
+    Systems, sec. 10.1), so with the poles of `_poles`
+        b = [(s1 + a) e^{s1 t} - (s2 + a) e^{s2 t}]/d
+          = e^{s1 t} [1 + (s2 + a)(1 - e^{-d t})/d],
+    and s2 + a = -s1. Re d >= 0, so e^{-d t} stays bounded, and
+    (1 - e^{-d t})/d comes from expm1: it does not cancel where s1 ~ s2,
+    and it is t where d = 0.
+    """
+    s1, d = _poles(model)
+    tt = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase d t is rejected below
+        decay = -np.expm1(-d * tt) / d if d != 0.0 else tt
+        out = np.exp(s1 * tt) * (1.0 - s1 * decay)
+    if not np.isfinite(out).all():
+        raise PhysicalityError(f"detuning {model.detuning:g} is too large for t up to "
+                               f"{tt.max():g}: the phase overflows")
+    return np.where(tt == 0.0, 1.0, out)
+
+
 def lorentzian_min_times(gamma0: float, width: float, n_max: int) -> np.ndarray:
     """First n_max zero times 2[n*pi - arctan(kappa/width)]/kappa of b(t).
 
@@ -144,15 +189,19 @@ def amplitude_envelope(gamma0: float, width: float, t) -> np.ndarray:
     return np.exp(-0.5 * width * np.asarray(t, dtype=float)) * (1.0 + width / k)
 
 
-def default_horizon(gamma0: float, width: float) -> float:
+def default_horizon(gamma0: float, width: float, detuning: float = 0.0) -> float:
     """Default t_max: long enough for measure truncation.
 
-    Non-Markovian: at least 20 oscillation periods and long enough that the
-    amplitude envelope drops below the truncation cutoff. Otherwise ten
-    times the slowest decay time 1/(width - kappa) of |b|^2, written as
-    (width + kappa)/(2 gamma0 width), which does not cancel.
+    At zero detuning: non-Markovian, at least 20 oscillation periods and
+    long enough that the amplitude envelope drops below the truncation
+    cutoff; otherwise ten times the slowest decay time 1/(width - kappa)
+    of |b|^2, written as (width + kappa)/(2 gamma0 width), which does not
+    cancel. At any other detuning, where |b| stays below the cutoff:
+    see `_detuned_horizon`.
     """
-    model = Lorentzian(gamma0=gamma0, width=width)
+    model = Lorentzian(gamma0=gamma0, width=width, detuning=detuning)
+    if detuning != 0.0:
+        return _detuned_horizon(model)
     k = kappa(model)
     if classify_regime(model) is Regime.NON_MARKOVIAN:
         periods = 40.0 * np.pi / k
@@ -160,6 +209,41 @@ def default_horizon(gamma0: float, width: float) -> float:
         envelope = 2.0 * np.log(2.0 * (1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
         return max(periods, envelope)
     return 10.0 * (width + k) / (2.0 * gamma0 * width)
+
+
+def _detuned_horizon(model: Lorentzian) -> float:
+    """The time past which a bound on |b| stays below ENVELOPE_CUTOFF/2, at any detuning.
+
+    In `_detuned_closed_form`, b = e^{s1 t} [1 - s1 E] with
+    E = (1 - e^{-d t})/d = t int_0^1 e^{-d t u} du. Since Re d >= 0,
+    |E| <= t and |E| <= 2/|d|, so for every t
+        |b(t)| <= B(t) = e^{-r t} (1 + |s1| min(t, 2/|d|)),   r = -Re s1 > 0.
+    The horizon is the root of h(t) = r t - ln(2 (1 + |s1| min(t, 2/|d|))/cutoff),
+    where B = cutoff/2. min(t, 2/|d|) is concave in t, so h is convex; and
+    h(0) < 0, so h has one root and B < cutoff/2 beyond it. Doubling from
+    ln(2/cutoff)/r, where h <= 0, finds a t with h(t) >= 0; Newton steps
+    from there stay right of the root, by convexity, and converge down to
+    it. An r so small that the root is not finite gives inf.
+    """
+    s1, d = _poles(model)
+    r, c = -s1.real, abs(s1)
+    knee = 2.0 / abs(d) if d != 0.0 else math.inf
+    log_cut = math.log(2.0 / constants.ENVELOPE_CUTOFF)
+
+    def h(t):
+        return r * t - log_cut - math.log1p(c * min(t, knee))
+
+    t = log_cut / r if r > 0.0 else math.inf
+    while t < math.inf and h(t) < 0.0:
+        t *= 2.0
+    if t == math.inf:
+        return t
+    for _ in range(100):
+        step = h(t) / (r - (c / (1.0 + c * t) if t < knee else 0.0))
+        t -= step
+        if step <= 1e-13 * t:
+            break
+    return t
 
 
 def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTrajectory:
@@ -254,20 +338,27 @@ def _times_one_plus_z(a: np.ndarray) -> np.ndarray:
 
 
 def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTrajectory:
-    """Produce b(t) for a spectral model using the configured method."""
+    """Produce b(t) for a spectral model using the configured method.
+
+    The trajectory carries the model as `lorentzian` when it is a resonant
+    Lorentzian, by either method.
+    """
     n = cfg.steps
+    resonant = isinstance(model, Lorentzian) and model.detuning == 0.0
     if cfg.method is Method.CLOSED_FORM:
-        if not is_resonant(model):
+        if not isinstance(model, Lorentzian):
             raise UnsupportedModelError(
-                "the closed-form path covers the resonant Lorentzian only; "
+                "the closed-form path covers the Lorentzian only; "
                 "use the Volterra method for this model"
             )
         t = cfg.dt * np.arange(n + 1)
+        if not resonant:
+            return AmplitudeTrajectory(dt=cfg.dt, values=_detuned_closed_form(model, t))
         values = lorentzian_closed_form(model.gamma0, model.width, t).astype(complex)
         return AmplitudeTrajectory(dt=cfg.dt, values=values, lorentzian=model)
     f = correlation(model, cfg.dt, n + 1)
     traj = solve_volterra(f, cfg)
-    if is_resonant(model):
+    if resonant:
         traj = AmplitudeTrajectory(dt=traj.dt, values=traj.values, lorentzian=model)
     return traj
 

@@ -39,13 +39,8 @@ from .dynamics import (
     trace_distance_two,
 )
 from .errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
-from .measure import (
-    blp_from_trajectory,
-    lower_bound_two,
-    nonmarkovianity_single,
-    verify_theorem,
-)
-from .reservoir import Lorentzian, OhmicFamily, is_resonant, load_tabulated
+from .measure import _single_and_two, blp_from_trajectory, verify_theorem
+from .reservoir import Lorentzian, OhmicFamily, load_tabulated
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,7 +127,7 @@ class RunConfig:
 
     def build_solver(self, model) -> SolverConfig:
         if self.method == "auto":
-            method = Method.CLOSED_FORM if is_resonant(model) else Method.VOLTERRA
+            method = Method.CLOSED_FORM if isinstance(model, Lorentzian) else Method.VOLTERRA
         elif self.method in ("closed_form", "volterra"):
             method = Method(self.method)
         else:
@@ -140,7 +135,7 @@ class RunConfig:
         t_max = self.t_max
         if t_max is None:
             if isinstance(model, Lorentzian):
-                t_max = default_horizon(model.gamma0, model.width)
+                t_max = default_horizon(model.gamma0, model.width, model.detuning)
             else:
                 raise ConfigError("t_max has no automatic rule for this model; pass --t-max")
         # Checked before any array exists: --dt 1e-300 must not reach numpy.
@@ -446,10 +441,9 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
 
 def _measure_bundle(cfg: RunConfig) -> dict:
     traj = cfg.trajectory()
-    n_single = nonmarkovianity_single(traj, min_tolerance=cfg.min_tolerance)
+    n_single, n_two = _single_and_two(traj, cfg.min_tolerance)
     eg_pair = StatePair(first=excited_state(), second=ground_state())
     n_eg = blp_from_trajectory(pair_distance_trajectory(traj, eg_pair))
-    n_two = lower_bound_two(traj, min_tolerance=cfg.min_tolerance)
     # The reports carry regime and kappa only for a resonant Lorentzian.
     single = n_single.to_dict()
     return {

@@ -44,55 +44,16 @@ class ExtremumInterval:
         return self.value_at_max - self.value_at_min
 
 
-def _parabolic_vertex(ym1, y0, yp1):
-    """Sub-grid extremum from three samples; offset in grid units from the middle."""
-    den = 2.0 * (2.0 * y0 - yp1 - ym1)
-    if abs(den) < 1e-300:
-        return 0.0, y0
-    p = (yp1 - ym1) / den
-    return p, y0 - 0.25 * (ym1 - yp1) * p
-
-
-def _v_vertex(v, m):
-    """Two-line intersection for a cusp-shaped minimum near sample m.
-
-    An absolute-value kink (|b| crossing zero) is not a parabola; the
-    crossing point is where the descending and ascending secant lines
-    meet. Returns (offset, value) or None when the configuration is not
-    cusp-like.
-    """
-    if v[m + 1] < v[m - 1]:
-        if m + 2 >= v.size:
-            return None
-        s_left = v[m] - v[m - 1]
-        s_right = v[m + 2] - v[m + 1]
-        if not (s_left < 0.0 < s_right):
-            return None
-        x = (v[m + 1] - s_right - v[m]) / (s_left - s_right)
-        if not (0.0 <= x <= 1.0):
-            return None
-        return x, v[m] + s_left * x
-    if m - 2 < 0:
-        return None
-    s_left = v[m - 1] - v[m - 2]
-    s_right = v[m + 1] - v[m]
-    if not (s_left < 0.0 < s_right):
-        return None
-    x = (v[m] - v[m - 1] - s_left) / (s_left - s_right)
-    if not (-1.0 <= x <= 0.0):
-        return None
-    return x, v[m] + s_right * x
-
-
 def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
     """Locate rising intervals (local min -> next local max) of a signal.
 
     Sign changes of the forward difference mark extrema; isolated ones are
     refined by parabolic interpolation (minima additionally try the
-    cusp-aware two-line fit and keep whichever lies lower). Plateau runs
-    (|difference| < plateau tolerance) are merged and reported at their
-    leftmost sample. Intervals that do not rise are dropped. A monotone
-    signal yields an empty list.
+    cusp-aware two-line fit and keep whichever lies lower, then clip at 0).
+    Plateau runs (|difference| < plateau tolerance) are merged and reported
+    at their leftmost sample. Intervals that do not rise are dropped. A
+    monotone signal yields an empty list. Every step is one array
+    operation over all sign changes.
     """
     v = sig.values
     if v.size < 3:
@@ -108,31 +69,57 @@ def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
         return []
     sgn = s[nz]
     changes = np.flatnonzero(sgn[:-1] != sgn[1:])
-    extrema = []  # (time, value, kind) with kind +1 max / -1 min
-    for c in changes:
-        m = int(nz[c]) + 1  # leftmost sample of the extremum plateau
-        width = int(nz[c + 1]) - int(nz[c])
-        kind = 1 if sgn[c] > 0 else -1
-        if width > 1:
-            extrema.append((m * sig.dt, float(v[m]), kind))
-            continue
-        p, val = _parabolic_vertex(v[m - 1], v[m], v[m + 1])
-        if kind < 0:
-            cusp = _v_vertex(v, m)
-            if cusp is not None and cusp[1] < val:
-                p, val = cusp
-        if kind < 0:
-            val = max(0.0, val)
-        extrema.append(((m + p) * sig.dt, float(val), kind))
-    intervals = []
-    for i, (t_lo, v_lo, kind) in enumerate(extrema):
-        if kind >= 0 or i + 1 >= len(extrema):
-            continue
-        t_hi, v_hi, _ = extrema[i + 1]
-        if v_hi <= v_lo:
-            continue
-        intervals.append(ExtremumInterval(t_min=t_lo, t_max=t_hi, value_at_min=v_lo, value_at_max=v_hi))
-    return intervals
+    m = nz[changes] + 1  # leftmost sample of each extremum's plateau
+    plateau = nz[changes + 1] - m > 0
+    is_min = sgn[changes] < 0
+    offset, value = _parabolic_vertices(v[m - 1], v[m], v[m + 1])
+    cusp_offset, cusp_value, cusp = _v_vertices(v, m)
+    cusp &= is_min & (cusp_value < value)
+    offset = np.where(cusp, cusp_offset, offset)
+    value = np.where(cusp, cusp_value, value)
+    value = np.where(is_min & ~(value > 0.0), 0.0, value)  # minima clipped at 0
+    offset[plateau] = 0.0
+    value = np.where(plateau, v[m], value)
+    times = (m + offset) * sig.dt
+    lo = np.flatnonzero(is_min[:-1])  # each minimum with a maximum after it
+    lo = lo[value[lo + 1] > value[lo]]
+    return [ExtremumInterval(*row) for row in zip(
+        times[lo].tolist(), times[lo + 1].tolist(), value[lo].tolist(), value[lo + 1].tolist())]
+
+
+def _parabolic_vertices(ym1, y0, yp1):
+    """Sub-grid extrema from three samples each: (offset in grid units from the middle, value).
+
+    A vertex whose curvature term is below 1e-300 in size stays at its
+    middle sample.
+    """
+    den = 2.0 * (2.0 * y0 - yp1 - ym1)
+    flat = np.abs(den) < 1e-300
+    offset = (yp1 - ym1) / np.where(flat, 1.0, den)
+    offset[flat] = 0.0
+    return offset, np.where(flat, y0, y0 - 0.25 * (ym1 - yp1) * offset)
+
+
+def _v_vertices(v, m):
+    """Two-line intersections for cusp-shaped minima near samples m: (offset, value, found).
+
+    An absolute-value kink (|b| crossing zero) is not a parabola; the
+    crossing point is where the descending and ascending secant lines
+    meet. The secants are taken on the side of m's lower neighbour. `found`
+    is False where that needs a sample past either end, or where the
+    configuration is not cusp-like: the secants do not descend then ascend,
+    or they meet outside the step next to m.
+    """
+    right = v[m + 1] < v[m - 1]
+    m2 = np.where(right, np.minimum(m + 2, v.size - 1), np.maximum(m - 2, 0))
+    s_left = np.where(right, v[m] - v[m - 1], v[m - 1] - v[m2])
+    s_right = np.where(right, v[m2] - v[m + 1], v[m + 1] - v[m])
+    found = np.where(right, m + 2 < v.size, m >= 2) & (s_left < 0.0) & (0.0 < s_right)
+    num = np.where(right, v[m + 1] - s_right - v[m], v[m] - v[m - 1] - s_left)
+    with np.errstate(over="ignore"):  # an overflowing offset is out of range
+        offset = num / np.where(found, s_left - s_right, -1.0)
+    found &= np.where(right, (0.0 <= offset) & (offset <= 1.0), (-1.0 <= offset) & (offset <= 0.0))
+    return offset, v[m] + np.where(right, s_left, s_right) * offset, found
 
 
 @dataclass(frozen=True)
@@ -182,7 +169,8 @@ class NonMarkovianityReport:
 def _generic_tail_bound(contributions) -> float:
     """Geometric extrapolation from the last two contributions, inflated 2x.
 
-    Heuristic for signals without model metadata; the Lorentzian paths use
+    An estimate, not a bound, for signals without model metadata: detuned
+    Lorentzians and the other spectra. The resonant Lorentzian path uses
     the exact geometric tail instead.
     """
     if not contributions:
@@ -259,9 +247,14 @@ def _maxima_sum(
     min_tolerance: float,
     tail_scale: float,
     closed_form=None,
+    intervals=None,
 ) -> NonMarkovianityReport:
-    """Shared core of the simplified measures: sum weight(max value) over maxima."""
-    intervals = find_extrema(sig)
+    """Shared core of the simplified measures: sum weight(max value) over maxima.
+
+    `intervals` are `find_extrema(sig)`, found here unless given.
+    """
+    if intervals is None:
+        intervals = find_extrema(sig)
     model = sig.lorentzian
     cf = tail = None
     if model is not None and classify_regime(model) is Regime.NON_MARKOVIAN:
@@ -285,6 +278,12 @@ def _maxima_sum(
     return _report(intervals, contributions, sig.t_max, tail, model, cf)
 
 
+# The weights and tail scales of the |b| maxima sums: the single-qubit
+# measure, with its closed geometric value, and the two-qubit lower bound.
+_SINGLE = {"weight": lambda x: x, "tail_scale": 1.0, "closed_form": lambda q: q / (1.0 - q)}
+_TWO = {"weight": trace_distance_two, "tail_scale": math.sqrt(2.0)}
+
+
 def nonmarkovianity_single(
     b_traj: AmplitudeTrajectory, min_tolerance: float = constants.MIN_VALUE_TOL
 ) -> NonMarkovianityReport:
@@ -296,13 +295,7 @@ def nonmarkovianity_single(
     geometric value 1/(e^{pi*width/kappa} - 1) is attached for
     cross-checking.
     """
-    return _maxima_sum(
-        optimal_distance_trajectory(b_traj),
-        weight=lambda x: x,
-        min_tolerance=min_tolerance,
-        tail_scale=1.0,
-        closed_form=lambda q: q / (1.0 - q),
-    )
+    return _maxima_sum(optimal_distance_trajectory(b_traj), min_tolerance=min_tolerance, **_SINGLE)
 
 
 def nonmarkovianity_from_population(
@@ -321,7 +314,7 @@ def nonmarkovianity_from_population(
         weight=math.sqrt,
         min_tolerance=min_tolerance,
         tail_scale=1.0,
-        closed_form=lambda q: q / (1.0 - q),
+        closed_form=_SINGLE["closed_form"],
     )
 
 
@@ -333,12 +326,15 @@ def lower_bound_two(
     The tail uses sqrt(2) times the geometric remainder, which bounds the
     per-term weight for x in (0, 1].
     """
-    return _maxima_sum(
-        optimal_distance_trajectory(b_traj),
-        weight=trace_distance_two,
-        min_tolerance=min_tolerance,
-        tail_scale=math.sqrt(2.0),
-    )
+    return _maxima_sum(optimal_distance_trajectory(b_traj), min_tolerance=min_tolerance, **_TWO)
+
+
+def _single_and_two(b_traj: AmplitudeTrajectory, min_tolerance: float):
+    """`nonmarkovianity_single` and `lower_bound_two` from one |b| signal and one extremum search."""
+    sig = optimal_distance_trajectory(b_traj)
+    intervals = find_extrema(sig)
+    return tuple(_maxima_sum(sig, min_tolerance=min_tolerance, intervals=intervals, **spec)
+                 for spec in (_SINGLE, _TWO))
 
 
 def lower_bound_two_from_population(
@@ -349,7 +345,7 @@ def lower_bound_two_from_population(
         p_traj,
         weight=lambda p: trace_distance_two(math.sqrt(p)),
         min_tolerance=min_tolerance,
-        tail_scale=math.sqrt(2.0),
+        tail_scale=_TWO["tail_scale"],
     )
 
 

@@ -56,8 +56,9 @@ class Regime(enum.Enum):
 class Lorentzian:
     """Lorentzian spectral density of width `width` centered at resonance.
 
-    `detuning` shifts the qubit frequency off the spectral center; the
-    closed-form amplitude path requires detuning == 0.
+    `detuning` shifts the qubit frequency off the spectral center. b(t) has
+    a closed form at every detuning; the resonant regimes, kappa and the
+    envelope truncation of the measures are those of detuning == 0.
     """
 
     gamma0: float
@@ -130,11 +131,6 @@ def load_tabulated(path, qubit_frequency: float) -> Tabulated:
         warnings.simplefilter("ignore", UserWarning)
         pts = np.loadtxt(path, comments="#", ndmin=2)
     return Tabulated(points=pts, qubit_frequency=qubit_frequency)
-
-
-def is_resonant(model: SpectralModel) -> bool:
-    """True for a Lorentzian at zero detuning, the one model whose b(t) has a closed form."""
-    return isinstance(model, Lorentzian) and model.detuning == 0.0
 
 
 def classify_regime(model: SpectralModel) -> Regime:

@@ -17,6 +17,8 @@ from nonmarkov.amplitude import (
     lorentzian_closed_form,
     lorentzian_min_times,
     solve_volterra,
+    _detuned_closed_form,
+    _poles,
 )
 from nonmarkov.errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
 from nonmarkov.reservoir import (
@@ -345,14 +347,70 @@ class TestVolterraMatchesStepLoop:
         assert str(got.value).startswith(str(want.value) + " exceeds")
 
 
+def mpmath_detuned(width, detuning, t):
+    """b(t) at gamma0 = 1 from the two Laplace poles, to 50 digits."""
+    with mpmath.workdps(50):
+        a = mpmath.mpc(width, -detuning)
+        root = mpmath.sqrt(a * a - 2 * mpmath.mpf(width))
+        s1, s2 = (root - a) / 2, -(a + root) / 2
+        return [complex(((s1 + a) * mpmath.exp(s1 * mpmath.mpf(ti))
+                         - (s2 + a) * mpmath.exp(s2 * mpmath.mpf(ti))) / root) for ti in t]
+
+
+class TestDetunedClosedForm:
+    @pytest.mark.parametrize("detuning", [1e-12, 1e-6, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("width", [0.1, 1.0, 2 * (1 - 1e-6), 2.0, 2 * (1 + 1e-6), 5.0])
+    def test_matches_mpmath_oracle(self, width, detuning):
+        t = np.linspace(0.0, 60.0, 241)
+        got = _detuned_closed_form(Lorentzian(1.0, width, detuning), t)
+        assert np.max(np.abs(got - mpmath_detuned(width, detuning, t))) <= 1e-13
+
+    @pytest.mark.parametrize("detuning", [0.3, 1e4])
+    @pytest.mark.parametrize("width", [1e4, 1e8])
+    def test_wide_or_far_detuned_matches_oracle(self, width, detuning):
+        # The slower pole is small against |a| here: taken as the difference
+        # (r - a)/2 it would lose up to 1e-9 of b.
+        t = np.linspace(0.0, 60.0, 61)
+        got = _detuned_closed_form(Lorentzian(1.0, width, detuning), t)
+        assert np.max(np.abs(got - mpmath_detuned(width, detuning, t))) <= 1e-13
+
+    @pytest.mark.parametrize("width", [0.1, 1.0, 2.0, 5.0])
+    def test_zero_detuning_is_the_resonant_form(self, width):
+        cfg = SolverConfig(dt=1e-3, t_max=60.0, method=Method.CLOSED_FORM)
+        traj = compute_trajectory(Lorentzian(1.0, width, detuning=0.0), cfg)
+        want = lorentzian_closed_form(1.0, width, traj.times()).astype(complex)
+        assert np.array_equal(traj.values, want)
+        assert traj.lorentzian == Lorentzian(1.0, width)
+
+    def test_detuned_trajectory_carries_no_model(self):
+        cfg = SolverConfig(dt=1e-2, t_max=10.0, method=Method.CLOSED_FORM)
+        traj = compute_trajectory(Lorentzian(1.0, 0.5, detuning=1.0), cfg)
+        assert traj.lorentzian is None
+        assert np.array_equal(traj.values,
+                              _detuned_closed_form(Lorentzian(1.0, 0.5, 1.0), traj.times()))
+
+    @pytest.mark.parametrize("detuning", [0.3, 1.0])
+    def test_horizon_bounds_amplitude_by_cutoff(self, detuning):
+        model = Lorentzian(1.0, 0.1, detuning)
+        horizon = default_horizon(1.0, 0.1, detuning)
+        t = np.linspace(0.0, 3.0 * horizon, 300001)
+        b = np.abs(_detuned_closed_form(model, t))
+        assert np.max(b[t >= horizon]) <= constants.ENVELOPE_CUTOFF / 2
+        # The bound it comes from holds everywhere and is tight at the horizon.
+        s1, d = _poles(model)
+        bound = np.exp(s1.real * t) * (1.0 + abs(s1) * np.minimum(t, 2.0 / abs(d)))
+        assert np.all(b <= bound * (1.0 + 1e-12))
+        at = float(np.exp(s1.real * horizon) * (1.0 + abs(s1) * min(horizon, 2.0 / abs(d))))
+        assert at == pytest.approx(constants.ENVELOPE_CUTOFF / 2, rel=1e-9)
+
+
 class TestComputeTrajectory:
-    def test_closed_form_requires_resonant_lorentzian(self):
+    def test_closed_form_requires_lorentzian(self):
         cfg = SolverConfig(dt=0.01, t_max=1.0, method=Method.CLOSED_FORM)
-        with pytest.raises(UnsupportedModelError):
-            compute_trajectory(Lorentzian(1.0, 0.1, detuning=0.5), cfg)
         ohmic = OhmicFamily(coupling=0.1, exponent=1.0, cutoff=1.0, qubit_frequency=1.0)
-        with pytest.raises(UnsupportedModelError):
-            compute_trajectory(ohmic, cfg)
+        for model in (ohmic, _gaussian_table()):
+            with pytest.raises(UnsupportedModelError):
+                compute_trajectory(model, cfg)
 
     def test_metadata_attached(self):
         cfg = SolverConfig(dt=0.01, t_max=1.0, method=Method.CLOSED_FORM)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli, constants
-from nonmarkov.amplitude import Method, SolverConfig, compute_trajectory
+from nonmarkov.amplitude import Method
 from nonmarkov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, main
 from nonmarkov.dynamics import (
     StatePair,
@@ -108,8 +108,7 @@ class TestSimulate:
         ini.write_text(DETUNED_INI.format(t_max=10))
         code, text = run(tmp_path, "simulate", "--config", str(ini))
         assert code == EXIT_OK
-        cfg = SolverConfig(dt=1e-3, t_max=10.0, method=Method.VOLTERRA)
-        traj = compute_trajectory(Lorentzian(1.0, 1.0, detuning=0.3), cfg)
+        traj = cli.RunConfig(width_ratio=1.0, detuning=0.3, t_max=10.0).trajectory()
         b = traj.values
         eg_pair = StatePair(excited_state(), ground_state())
         columns = [
@@ -123,6 +122,20 @@ class TestSimulate:
         # Two full blocks and a partial one.
         assert b.size > 2 * cli._CSV_BLOCK and b.size % cli._CSV_BLOCK
         assert text.splitlines()[1:] == want
+
+    def test_detuned_default_horizon_decays(self, tmp_path):
+        # The slower pole decays at 0.0218, not at the resonant width/2 = 0.05.
+        ini = tmp_path / "detuned.ini"
+        ini.write_text("[model]\nwidth_ratio = 0.1\ndetuning = 0.3\n[solver]\ndt = 0.01\n")
+        code, text = run(tmp_path, "simulate", "--config", str(ini))
+        assert code == EXIT_OK
+        last = text.splitlines()[-1].split(",")
+        assert float(last[0]) > 800.0 and float(last[3]) <= 1e-8
+
+    def test_auto_method_is_closed_form_for_every_lorentzian(self):
+        for detuning in (0.0, 0.3):
+            cfg = cli.RunConfig(width_ratio=1.0, detuning=detuning)
+            assert cfg.build_solver(cfg.build_model()).method is Method.CLOSED_FORM
 
     def test_twelve_significant_digits(self, tmp_path):
         code, text = run(tmp_path, "simulate", "--width-ratio", "0.5", "--t-max", "5")
@@ -832,8 +845,11 @@ class TestLogging:
             # Far detuned at a coarse step, the scheme goes unstable.
             ("[model]\ndetuning = 100\n[solver]\nmethod = volterra\ndt = 0.1\nt_max = 10\n",
              ["measure"], EXIT_NUMERICAL, "nonmarkov: numerical failure: |b(0.2)| = "),
+            # The closed form's phase detuning * t passes 1e308.
+            ("[model]\ndetuning = 1e308\n[solver]\ndt = 10\nt_max = 1000\n", ["simulate"],
+             EXIT_CONFIG, "nonmarkov: config error: detuning 1e+308 is too large for t up to 1000"),
         ],
-        ids=["config_error", "numerical_failure"],
+        ids=["config_error", "numerical_failure", "phase_overflow"],
     )
     def test_failure_is_one_stderr_line(self, tmp_path, ini_text, argv, code, prefix):
         import os

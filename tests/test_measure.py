@@ -1,5 +1,6 @@
 """Tests for extremum detection and the non-Markovianity sums."""
 
+import dataclasses
 import json
 import logging
 import math
@@ -112,6 +113,165 @@ class TestFindExtrema:
         [interval] = find_extrema(ScalarTrajectory(dt=1.0, values=v))
         assert interval.t_min == pytest.approx(4.0, abs=0.5)
         assert interval.value_at_min == 0.0 and interval.value_at_max >= 0.4
+
+
+def _reference_parabolic_vertex(ym1, y0, yp1):
+    """Sub-grid extremum from three samples; offset in grid units from the middle."""
+    den = 2.0 * (2.0 * y0 - yp1 - ym1)
+    if abs(den) < 1e-300:
+        return 0.0, y0
+    p = (yp1 - ym1) / den
+    return p, y0 - 0.25 * (ym1 - yp1) * p
+
+
+def _reference_v_vertex(v, m):
+    """Two-line intersection for a cusp-shaped minimum near sample m.
+
+    An absolute-value kink (|b| crossing zero) is not a parabola; the
+    crossing point is where the descending and ascending secant lines
+    meet. Returns (offset, value) or None when the configuration is not
+    cusp-like.
+    """
+    if v[m + 1] < v[m - 1]:
+        if m + 2 >= v.size:
+            return None
+        s_left = v[m] - v[m - 1]
+        s_right = v[m + 2] - v[m + 1]
+        if not (s_left < 0.0 < s_right):
+            return None
+        x = (v[m + 1] - s_right - v[m]) / (s_left - s_right)
+        if not (0.0 <= x <= 1.0):
+            return None
+        return x, v[m] + s_left * x
+    if m - 2 < 0:
+        return None
+    s_left = v[m - 1] - v[m - 2]
+    s_right = v[m + 1] - v[m]
+    if not (s_left < 0.0 < s_right):
+        return None
+    x = (v[m] - v[m - 1] - s_left) / (s_left - s_right)
+    if not (-1.0 <= x <= 0.0):
+        return None
+    return x, v[m] + s_right * x
+
+
+def reference_find_extrema(sig):
+    """The per-sign-change loop that `find_extrema` replaced: its bit oracle.
+
+    Locates rising intervals (local min -> next local max) of a signal.
+
+    Sign changes of the forward difference mark extrema; isolated ones are
+    refined by parabolic interpolation (minima additionally try the
+    cusp-aware two-line fit and keep whichever lies lower). Plateau runs
+    (|difference| < plateau tolerance) are merged and reported at their
+    leftmost sample. Intervals that do not rise are dropped. A monotone
+    signal yields an empty list.
+    """
+    v = sig.values
+    if v.size < 3:
+        raise PhysicalityError("extremum detection needs at least 3 samples")
+    d = np.diff(v)
+    # Plateau threshold is relative to the local signal scale: signals like
+    # the excited population decay over many decades and their late
+    # oscillations must not be flattened by an absolute cutoff.
+    local = np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
+    s = np.where(np.abs(d) < constants.PLATEAU_TOL * np.maximum(local, 1e-300), 0, np.sign(d)).astype(np.int8)
+    nz = np.flatnonzero(s)
+    if nz.size < 2:
+        return []
+    sgn = s[nz]
+    changes = np.flatnonzero(sgn[:-1] != sgn[1:])
+    extrema = []  # (time, value, kind) with kind +1 max / -1 min
+    for c in changes:
+        m = int(nz[c]) + 1  # leftmost sample of the extremum plateau
+        width = int(nz[c + 1]) - int(nz[c])
+        kind = 1 if sgn[c] > 0 else -1
+        if width > 1:
+            extrema.append((m * sig.dt, float(v[m]), kind))
+            continue
+        p, val = _reference_parabolic_vertex(v[m - 1], v[m], v[m + 1])
+        if kind < 0:
+            cusp = _reference_v_vertex(v, m)
+            if cusp is not None and cusp[1] < val:
+                p, val = cusp
+        if kind < 0:
+            val = max(0.0, val)
+        extrema.append(((m + p) * sig.dt, float(val), kind))
+    intervals = []
+    for i, (t_lo, v_lo, kind) in enumerate(extrema):
+        if kind >= 0 or i + 1 >= len(extrema):
+            continue
+        t_hi, v_hi, _ = extrema[i + 1]
+        if v_hi <= v_lo:
+            continue
+        intervals.append(measure.ExtremumInterval(t_min=t_lo, t_max=t_hi, value_at_min=v_lo, value_at_max=v_hi))
+    return intervals
+
+def interval_bits(intervals):
+    """Each interval's four floats as hex strings, so that -0.0 differs from 0.0."""
+    return [tuple(float(x).hex() for x in dataclasses.astuple(iv)) for iv in intervals]
+
+
+def assert_same_extrema(values, dt=0.01):
+    sig = ScalarTrajectory(dt=dt, values=values)
+    want = reference_find_extrema(sig)
+    assert interval_bits(find_extrema(sig)) == interval_bits(want)
+    return len(want)
+
+
+def fuzz_signals(seed, count):
+    """Seeded signals that reach every branch of the extremum refinement."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(3, 60))
+        kind = rng.integers(6)
+        if kind == 0:  # rough: a sign change at almost every sample
+            v = rng.uniform(size=n)
+        elif kind == 1:  # few levels: equal neighbours make plateaus
+            v = rng.integers(0, 4, n) / 4.0
+        elif kind == 2:  # rectified cosine on a coarse grid: cusp minima
+            t = np.linspace(0.0, rng.uniform(1.0, 30.0), n)
+            v = np.abs(np.cos(t + rng.uniform(0, 3)) * np.exp(-rng.uniform(0, 0.3) * t))
+        elif kind == 3:  # around 1e-300: curvature terms below the 1e-300 cutoff
+            v = rng.uniform(size=n) * 10.0 ** rng.uniform(-308, -298)
+        elif kind == 4:  # minima within the slack below zero, clipped to 0
+            v = rng.uniform(-1e-8, 1e-8, n)
+        else:  # a smooth signal with rounding-level noise on top
+            t = np.linspace(0.0, 10.0, n)
+            v = 0.5 + 0.4 * np.sin(t) + rng.normal(scale=1e-15, size=n)
+        yield v
+
+
+class TestFindExtremaMatchesReference:
+    """The array version of find_extrema against the per-sign-change loop, bit for bit."""
+
+    def test_seeded_fuzz(self):
+        found = sum(assert_same_extrema(v) for v in fuzz_signals(2024, 1000))
+        assert found > 1000
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 0.1, 0.9, 1.0],  # cusp at index 1, right secant: found
+        [0.5, 0.1, 0.9, 1.0],  # cusp at index 1, left secant needs index -1
+        [1.0, 0.9, 0.1, 0.5],  # cusp at n - 2, right secant needs index n
+        [1.0, 0.4, 0.1, 0.9],  # cusp at n - 2, left secant: found
+        [1.0, 0.5, 0.5, 0.5, 0.8, 0.8, 0.2, 0.2, 0.6],  # plateau minima and maxima
+        [3e-301, 1e-301, 3e-301, 2e-301, 5e-301],  # |curvature term| < 1e-300
+        [1.0, 0.0, 0.0, 1.0, -0.0, 0.5],  # signed zeros
+        [1.0, -0.0, 0.5, 1.0],  # a cusp at a signed zero
+        [1.0, 0.25, 0.5, 0.75],  # secants meeting exactly at the minimum's sample
+        [0.3, -1e-9, 0.0, -1e-9, 0.3],  # a clipped minimum, then a maximum of exactly 0
+    ])
+    def test_edge_cases(self, values):
+        assert_same_extrema(np.array(values))
+
+    def test_volterra_noise_tail(self):
+        # Past t ~ 40 a 60k-step solve's |b| is rounding noise at |b|^2 ~ 1e-25,
+        # with thousands of sign changes.
+        cfg = SolverConfig(dt=1e-3, t_max=60.0, method=Method.VOLTERRA)
+        traj = compute_trajectory(Lorentzian(1.0, 1.0), cfg)
+        eg = pair_distance_trajectory(traj, StatePair(excited_state(), ground_state()))
+        for sig in (optimal_distance_trajectory(traj), population_excited(traj), eg):
+            assert assert_same_extrema(sig.values, dt=sig.dt) > 1000
 
 
 class TestBlp:
