@@ -33,8 +33,8 @@ import numpy as np
 
 from . import constants
 from .errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
-from .reservoir import (CorrelationSamples, Lorentzian, Regime, SpectralModel, _SampleGrid,
-                        classify_regime, correlation, kappa)
+from .reservoir import (CorrelationSamples, Lorentzian, Regime, SpectralModel, _check_phase,
+                        _SampleGrid, classify_regime, correlation, kappa)
 
 
 class Method(enum.Enum):
@@ -154,9 +154,7 @@ def _detuned_closed_form(model: Lorentzian, t) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase d t is rejected below
         decay = -np.expm1(-d * tt) / d if d != 0.0 else tt
         out = np.exp(s1 * tt) * (1.0 - s1 * decay)
-    if not np.isfinite(out).all():
-        raise PhysicalityError(f"detuning {model.detuning:g} is too large for t up to "
-                               f"{tt.max():g}: the phase overflows")
+    _check_phase(model, out, tt)
     return np.where(tt == 0.0, 1.0, out)
 
 

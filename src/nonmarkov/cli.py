@@ -3,7 +3,7 @@
 Units: gamma0 = 1 defines the rate unit, so `--width-ratio` is the
 spectral width over gamma0 and times are in 1/gamma0; gamma0 is fixed
 and has no key. Configuration comes from an INI-style file (sections
-[model], [solver], [measure], [run]) with flags taking precedence; each
+[model], [solver], [run]) with flags taking precedence; each
 subcommand rejects the keys it does not read, and each model type the
 [model] keys it does not use. Exit codes: 0 success, 1 configuration
 error or out of memory, 2 numerical failure, 3 verification failure.
@@ -29,17 +29,9 @@ import numpy as np
 
 from . import constants
 from .amplitude import AmplitudeTrajectory, Method, SolverConfig, compute_trajectory, default_horizon
-from .dynamics import (
-    StatePair,
-    concurrence_bell,
-    excited_state,
-    ground_state,
-    optimal_distance_trajectory,
-    pair_distance_trajectory,
-    trace_distance_two,
-)
+from .dynamics import concurrence_bell, optimal_distance_trajectory, population_excited, trace_distance_two
 from .errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
-from .measure import _single_and_two, blp_from_trajectory, verify_theorem
+from .measure import _population_measures, verify_theorem
 from .reservoir import Lorentzian, OhmicFamily, load_tabulated
 
 EXIT_OK = 0
@@ -61,7 +53,6 @@ _SECTIONS = {
     "model": {"type": str, "width_ratio": float, "detuning": float, "coupling": float,
               "exponent": float, "cutoff": float, "table": str, "qubit_frequency": float},
     "solver": {"method": str, "dt": float, "t_max": float},
-    "measure": {"min_tolerance": float},
     "run": {"seed": int, "samples": int, "jobs": int},
 }
 # The [model] keys each model type uses; a run that sets any other is rejected.
@@ -71,12 +62,11 @@ _MODEL_KEYS = {
     "tabulated": {"type", "table", "qubit_frequency"},
 }
 # The INI keys each subcommand reads; a file that sets any other key is rejected.
-_MODEL, _SOLVER, _MEASURE = (set(_SECTIONS[s]) for s in ("model", "solver", "measure"))
+_MODEL, _SOLVER = (set(_SECTIONS[s]) for s in ("model", "solver"))
 _READS = {
     "simulate": {"model": _MODEL, "solver": _SOLVER},
-    "measure": {"model": _MODEL, "solver": _SOLVER, "measure": _MEASURE},
-    "sweep": {"model": _MODEL - {"width_ratio"}, "solver": _SOLVER, "measure": _MEASURE,
-              "run": {"jobs"}},
+    "measure": {"model": _MODEL, "solver": _SOLVER},
+    "sweep": {"model": _MODEL - {"width_ratio"}, "solver": _SOLVER, "run": {"jobs"}},
     "verify": {"model": _MODEL, "solver": _SOLVER, "run": {"seed", "samples"}},
 }
 
@@ -101,7 +91,6 @@ class RunConfig:
     method: str = "auto"
     dt: float = 1e-3
     t_max: float | None = None
-    min_tolerance: float = constants.MIN_VALUE_TOL
     seed: int = 42
     samples: int = 10000
     jobs: int = 1
@@ -215,8 +204,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")
-    if not 0 <= cfg.min_tolerance < math.inf:
-        raise ConfigError(f"min_tolerance must be nonnegative and finite, got {cfg.min_tolerance}")
     return cfg
 
 
@@ -441,9 +428,7 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
 
 def _measure_bundle(cfg: RunConfig) -> dict:
     traj = cfg.trajectory()
-    n_single, n_two = _single_and_two(traj, cfg.min_tolerance)
-    eg_pair = StatePair(first=excited_state(), second=ground_state())
-    n_eg = blp_from_trajectory(pair_distance_trajectory(traj, eg_pair))
+    n_single, n_eg, n_two = _population_measures(population_excited(traj))
     # The reports carry regime and kappa only for a resonant Lorentzian.
     single = n_single.to_dict()
     return {
@@ -544,9 +529,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--width-to", type=float, required=True, dest="width_to")
     p_sweep.add_argument("--steps", type=int, required=True)
     p_sweep.add_argument("--jobs", type=int, help="parallel workers")
-    for p in (p_meas, p_sweep):
-        p.add_argument("--min-tolerance", type=float, dest="min_tolerance",
-                       help="zero-qualification tolerance for distance minima")
 
     p_ver = sub.add_parser("verify", help="random-pair check of the optimal-pair bound")
     common(p_ver)

@@ -28,7 +28,6 @@ CRITICAL_REGIME_REL_TOL = 1e-12  # classify: |gamma0 - width/2| <= this * width
 
 # Extremum detection and measure truncation
 PLATEAU_TOL = 1e-14          # |forward difference| below this is a plateau
-MIN_VALUE_TOL = 1e-6         # default: how close to zero a minimum must be
 ENVELOPE_CUTOFF = 1e-8       # stop summing maxima once the envelope is below
 TAIL_SAFETY = 1e-6           # relative inflation of reported tail bounds
 

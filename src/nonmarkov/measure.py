@@ -1,9 +1,11 @@
 """Extremum detection and trace-distance non-Markovianity measures.
 
 The central quantity is the summed growth of a distance signal over its
-rising intervals [t_min_n, t_max_n]. For the resonant Lorentzian the
-minima of |b| are exact zeros, so the sum collapses to the values of |b|
-at its local maxima; the truncated geometric tail is reported explicitly.
+rising intervals [t_min_n, t_max_n]. Every pair the measures report has a
+distance w(P) that grows with the excited population P = |b|^2, so each
+measure sums w(P_hi) - w(P_lo) over the rising intervals of P alone. For
+the resonant Lorentzian the minima are exact zeros, the sums are
+geometric, and the truncated tail is reported explicitly.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .dynamics import (
     _distance_over_b,
     optimal_distance_trajectory,
     pair_distance_trajectory,
+    population_excited,
     trace_distance_two,
 )
 from .errors import HorizonError, PhysicalityError
@@ -211,7 +214,8 @@ def blp_from_trajectory(d: ScalarTrajectory) -> NonMarkovianityReport:
 def _lorentzian_truncation(model: Lorentzian, horizon: float, intervals):
     """Envelope-based stopping rule and exact geometric tail for |b| maxima.
 
-    Returns (kept intervals, q, tail_bound for a unit-weight maxima sum).
+    Returns (kept intervals, q, tail_bound for a sum whose omitted terms are
+    each at most |b| at their maximum).
     Raises HorizonError when the envelope has not decayed below the cutoff
     by the end of the trajectory.
     """
@@ -232,26 +236,15 @@ def _lorentzian_truncation(model: Lorentzian, horizon: float, intervals):
     return kept, q, tail
 
 
-def _check_minima_vanish(intervals, min_tolerance: float):
-    worst = max((iv.value_at_min for iv in intervals), default=0.0)
-    if worst > min_tolerance:
-        raise PhysicalityError(
-            f"distance minima reach {worst:.3e} > {min_tolerance:g}; the maxima-sum "
-            "shortcut requires vanishing minima - use blp_from_trajectory per pair"
-        )
-
-
-def _maxima_sum(
-    sig: ScalarTrajectory,
-    weight,
-    min_tolerance: float,
-    tail_scale: float,
-    closed_form=None,
-    intervals=None,
+def _sum_of_rises(
+    sig: ScalarTrajectory, weight, tail_scale: float, closed_form=None, intervals=None
 ) -> NonMarkovianityReport:
-    """Shared core of the simplified measures: sum weight(max value) over maxima.
+    """Shared core of the measures: sum weight(hi) - weight(lo) over the rising intervals of a population.
 
-    `intervals` are `find_extrema(sig)`, found here unless given.
+    `sig` is the excited population P = |b|^2 and `weight` a pair's distance
+    as a function of P, which grows with P, so the pair's distance rises
+    exactly where P does. `intervals` are `find_extrema(sig)`, found here
+    unless given.
     """
     if intervals is None:
         intervals = find_extrema(sig)
@@ -262,91 +255,68 @@ def _maxima_sum(
         tail = tail_scale * unit_tail
         if closed_form is not None:
             cf = closed_form(q)
-    contributions = [float(weight(iv.value_at_max)) for iv in intervals]
+    hi = np.array([iv.value_at_max for iv in intervals])
+    lo = np.array([iv.value_at_min for iv in intervals])
+    contributions = (weight(hi) - weight(lo)).tolist()
     if tail is None:
         tail = _generic_tail_bound(contributions)
         if model is None and intervals:
             trailing = sig.values[int(0.95 * (sig.values.size - 1)):]
-            peak = float(np.max(trailing))
+            peak = math.sqrt(float(np.max(trailing)))  # the check and its message are on |b|
             if peak > 1e-4:
                 raise HorizonError(
                     f"signal still reaches {peak:.3e} over the last 5% of the horizon; "
                     "extend t_max",
                     tail_bound=tail,
                 )
-    _check_minima_vanish(intervals, min_tolerance)
     return _report(intervals, contributions, sig.t_max, tail, model, cf)
 
 
-# The weights and tail scales of the |b| maxima sums: the single-qubit
-# measure, with its closed geometric value, and the two-qubit lower bound.
-_SINGLE = {"weight": lambda x: x, "tail_scale": 1.0, "closed_form": lambda q: q / (1.0 - q)}
-_TWO = {"weight": trace_distance_two, "tail_scale": math.sqrt(2.0)}
+# The weights w(P) and tail scales of the population sums: the |+>/|-> pair,
+# whose distance is |b|, with its closed geometric value; the |e>/|g> pair,
+# whose distance is P; and the |++>/|--> pair of the two-qubit lower bound.
+# Each w(P) is at most sqrt(P) times the tail scale.
+_SINGLE = {"weight": np.sqrt, "tail_scale": 1.0, "closed_form": lambda q: q / (1.0 - q)}
+_EG = {"weight": lambda p: p, "tail_scale": 1.0}
+_TWO = {"weight": lambda p: trace_distance_two(np.sqrt(p)), "tail_scale": math.sqrt(2.0)}
 
 
-def nonmarkovianity_single(
-    b_traj: AmplitudeTrajectory, min_tolerance: float = constants.MIN_VALUE_TOL
-) -> NonMarkovianityReport:
-    """Sum of |b| over its local maxima: the single-qubit measure.
+def nonmarkovianity_single(b_traj: AmplitudeTrajectory) -> NonMarkovianityReport:
+    """The single-qubit measure: `nonmarkovianity_from_population` of |b(t)|^2."""
+    return nonmarkovianity_from_population(population_excited(b_traj))
 
-    For the resonant Lorentzian the infinite sum is geometric; summation
-    stops once the amplitude envelope drops below the truncation cutoff
-    and the omitted remainder is reported as `tail_bound`. The closed
-    geometric value 1/(e^{pi*width/kappa} - 1) is attached for
-    cross-checking.
+
+def nonmarkovianity_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
+    """Sum of the rises of sqrt(P) over the rising intervals of the excited population P.
+
+    sqrt(P) = |b| is the distance of the optimal |+>/|-> pair. For the
+    resonant Lorentzian the minima are exact zeros, so the sum is that of
+    |b| at its maxima, and the infinite sum is geometric: summation stops
+    once the amplitude envelope drops below the truncation cutoff and the
+    omitted remainder is reported as `tail_bound`. The closed geometric
+    value 1/(e^{pi*width/kappa} - 1) is attached for cross-checking.
     """
-    return _maxima_sum(optimal_distance_trajectory(b_traj), min_tolerance=min_tolerance, **_SINGLE)
+    return _sum_of_rises(p_traj, **_SINGLE)
 
 
-def nonmarkovianity_from_population(
-    p_traj: ScalarTrajectory, min_tolerance: float = constants.MIN_VALUE_TOL
-) -> NonMarkovianityReport:
-    """Same measure from the excited population of a qubit prepared in |e>.
-
-    The population equals |b|^2, so the maxima of sqrt(population) are the
-    maxima of |b| and the totals agree with `nonmarkovianity_single`. The
-    zero-qualification tolerance is applied to the population values
-    directly; squaring it would put it below the sub-grid refinement noise
-    of minima that touch zero quadratically.
-    """
-    return _maxima_sum(
-        p_traj,
-        weight=math.sqrt,
-        min_tolerance=min_tolerance,
-        tail_scale=1.0,
-        closed_form=_SINGLE["closed_form"],
-    )
+def lower_bound_two(b_traj: AmplitudeTrajectory) -> NonMarkovianityReport:
+    """Two-qubit lower bound: `lower_bound_two_from_population` of |b(t)|^2."""
+    return lower_bound_two_from_population(population_excited(b_traj))
 
 
-def lower_bound_two(
-    b_traj: AmplitudeTrajectory, min_tolerance: float = constants.MIN_VALUE_TOL
-) -> NonMarkovianityReport:
-    """Two-qubit lower bound: sum of x*sqrt(2 - 2x^2 + x^4) over maxima x of |b|.
+def lower_bound_two_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
+    """Sum of the rises of x sqrt(2 - 2x^2 + x^4), x = sqrt(P), over the rising intervals of P.
 
     The tail uses sqrt(2) times the geometric remainder, which bounds the
     per-term weight for x in (0, 1].
     """
-    return _maxima_sum(optimal_distance_trajectory(b_traj), min_tolerance=min_tolerance, **_TWO)
+    return _sum_of_rises(p_traj, **_TWO)
 
 
-def _single_and_two(b_traj: AmplitudeTrajectory, min_tolerance: float):
-    """`nonmarkovianity_single` and `lower_bound_two` from one |b| signal and one extremum search."""
-    sig = optimal_distance_trajectory(b_traj)
-    intervals = find_extrema(sig)
-    return tuple(_maxima_sum(sig, min_tolerance=min_tolerance, intervals=intervals, **spec)
-                 for spec in (_SINGLE, _TWO))
-
-
-def lower_bound_two_from_population(
-    p_traj: ScalarTrajectory, min_tolerance: float = constants.MIN_VALUE_TOL
-) -> NonMarkovianityReport:
-    """Population form of the two-qubit bound: weight sqrt(2P - 2P^2 + P^3) at P = x^2."""
-    return _maxima_sum(
-        p_traj,
-        weight=lambda p: trace_distance_two(math.sqrt(p)),
-        min_tolerance=min_tolerance,
-        tail_scale=_TWO["tail_scale"],
-    )
+def _population_measures(p_traj: ScalarTrajectory):
+    """(n_single, n_eg, n_two_lower) reports from one extremum search of the population."""
+    intervals = find_extrema(p_traj)
+    return tuple(_sum_of_rises(p_traj, intervals=intervals, **spec) for spec in (_SINGLE, _EG, _TWO))
 
 
 @dataclass(frozen=True)

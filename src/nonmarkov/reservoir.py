@@ -205,6 +205,13 @@ class CorrelationSamples(_SampleGrid):
             raise PhysicalityError("f(0) must have positive real part for nontrivial coupling")
 
 
+def _check_phase(model: Lorentzian, values: np.ndarray, t: np.ndarray) -> None:
+    """Reject Lorentzian samples at times t that are not finite: detuning * t overflowed."""
+    if not np.isfinite(values).all():
+        raise PhysicalityError(f"detuning {model.detuning:g} is too large for t up to "
+                               f"{t.max():g}: the phase overflows")
+
+
 def correlation(model: SpectralModel, dt: float, n: int) -> CorrelationSamples:
     """Sample the reservoir correlation f(t) = integral J(w) e^{i(w0-w)t} dw.
 
@@ -217,7 +224,9 @@ def correlation(model: SpectralModel, dt: float, n: int) -> CorrelationSamples:
     t = dt * np.arange(n)
     if isinstance(model, Lorentzian):
         amp = 0.5 * model.gamma0 * model.width
-        values = amp * np.exp((1j * model.detuning - model.width) * t)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase is rejected below
+            values = amp * np.exp((1j * model.detuning - model.width) * t)
+        _check_phase(model, values, t)
     elif isinstance(model, OhmicFamily):
         values = _ohmic_correlation(model, t)
     elif isinstance(model, Tabulated):

@@ -27,11 +27,13 @@ from nonmarkov.dynamics import (
 from nonmarkov.reservoir import Lorentzian, kappa
 
 DETUNED_INI = "[model]\nwidth_ratio = 1\ndetuning = 0.3\n[solver]\nt_max = {t_max}\n"
+DETUNED_01_INI = "[model]\nwidth_ratio = 0.1\ndetuning = 0.3\n[solver]\ndt = 0.01\n"
+PHASE_OVERFLOW = ("nonmarkov: config error: detuning 1e+308 is too large for t up to 1000: "
+                  "the phase overflows")
 OHMIC_INI = (
     "[model]\ntype = ohmic\ncoupling = 0.05\nexponent = 1.0\ncutoff = 1.0\n"
     "qubit_frequency = 1.0\n[solver]\ndt = 0.01\nt_max = 20\n"
 )
-TOLERANCE_RANGE = "min_tolerance must be nonnegative and finite"
 
 
 def run(tmp_path, *argv):
@@ -400,7 +402,7 @@ class TestConfigHandling:
         ini = tmp_path / "run.ini"
         ini.write_text(
             "[model]\ntype = lorentzian\nwidth_ratio = 0.5\n"
-            "[solver]\ndt = 0.001\n\n[measure]\nmin_tolerance = 1e-6\n"
+            "[solver]\ndt = 0.001\n"
         )
         _, from_file = run(tmp_path, "measure", "--config", str(ini))
         _, from_flags = run(tmp_path, "measure", "--width-ratio", "0.5", "--dt", "0.001")
@@ -439,6 +441,17 @@ class TestConfigHandling:
         assert code == EXIT_CONFIG
         assert "unknown key 'tolerance' in section [solver]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["measure", "sweep"])
+    def test_removed_measure_section_rejected(self, tmp_path, capsys, command):
+        ini = tmp_path / "old.ini"
+        ini.write_text("[measure]\nmin_tolerance = 1e-6\n")
+        argv = [command, "--config", str(ini)]
+        if command == "sweep":
+            argv += ["--width-from", "5", "--width-to", "10", "--steps", "2"]
+        code, _ = run(tmp_path, *argv)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "nonmarkov: config error: unknown config section [measure]\n"
+
     @pytest.mark.parametrize(
         "text, fragment",
         [("[run]\nseed = abc\n", "seed = 'abc' is not an integer"),
@@ -458,8 +471,7 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, section, key",
         [("measure", "run", "jobs"), ("measure", "run", "samples"), ("measure", "run", "seed"),
-         ("simulate", "measure", "min_tolerance"), ("simulate", "run", "seed"),
-         ("verify", "measure", "min_tolerance"), ("verify", "run", "jobs"),
+         ("simulate", "run", "seed"), ("verify", "run", "jobs"),
          ("sweep", "model", "width_ratio"), ("sweep", "run", "samples")],
     )
     def test_key_the_subcommand_does_not_read_rejected(self, tmp_path, capsys, command,
@@ -478,8 +490,8 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "command, text",
         [("simulate", "[model]\nwidth_ratio = 10\n[solver]\nt_max = 1\n"),
-         ("measure", "[model]\nwidth_ratio = 10\n[measure]\nmin_tolerance = 1e-6\n"),
-         ("sweep", "[model]\ndetuning = 0\n[measure]\nmin_tolerance = 1e-6\n[run]\njobs = 1\n"),
+         ("measure", "[model]\nwidth_ratio = 10\n"),
+         ("sweep", "[model]\ndetuning = 0\n[run]\njobs = 1\n"),
          ("verify", "[model]\nwidth_ratio = 10\n[run]\nseed = 3\nsamples = 100\n")],
     )
     def test_keys_the_subcommand_reads_accepted(self, tmp_path, command, text):
@@ -572,10 +584,11 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "argv",
         [["measure", "--jobs", "4"], ["simulate", "--min-tolerance", "0.5"],
-         ["verify", "--min-tolerance", "0.5"],
+         ["verify", "--min-tolerance", "0.5"], ["measure", "--min-tolerance", "0.5"],
+         ["sweep", "--min-tolerance", "0.5", "--width-from", "5", "--width-to", "10", "--steps", "2"],
          ["sweep", "--width-ratio", "7", "--width-from", "5", "--width-to", "10", "--steps", "2"]],
         ids=["measure_jobs", "simulate_min_tolerance", "verify_min_tolerance",
-             "sweep_width_ratio"],
+             "measure_min_tolerance", "sweep_min_tolerance", "sweep_width_ratio"],
     )
     def test_flag_of_other_subcommand_rejected(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
@@ -591,14 +604,8 @@ class TestConfigHandling:
          (["measure", "--width-ratio", "10", "--out", "{tmp}/missing/x.json"],
           "cannot write output"),
          (["measure", "--config", "{tmp}/table.ini"], "table '{tmp}/missing.txt'"),
-         (["measure", "--min-tolerance", "nan"], f"{TOLERANCE_RANGE}, got nan"),
-         (["sweep", "--width-from", "1", "--width-to", "2", "--steps", "2",
-           "--min-tolerance", "inf"], f"{TOLERANCE_RANGE}, got inf"),
-         (["measure", "--min-tolerance", "-1"], f"{TOLERANCE_RANGE}, got -1.0"),
-         (["measure", "--config", "{tmp}/tolerance.ini"], f"{TOLERANCE_RANGE}, got -1e-09"),
          # Negative values that argparse's own matcher reads as option names.
-         (["measure", "--min-tolerance", "-1e-3"], f"{TOLERANCE_RANGE}, got -0.001"),
-         (["measure", "--min-tolerance", "-1E+2"], f"{TOLERANCE_RANGE}, got -100.0"),
+         (["measure", "--t-max", "-1e-3"], "t_max must be positive and finite, got -0.001"),
          (["measure", "--width-ratio", "-inf"], "width must be positive, got -inf"),
          (["measure", "--width-ratio", "-1E+2"], "width must be positive, got -100.0"),
          (["sweep", "--width-from", "1", "--width-to", "inf", "--steps", "3"],
@@ -609,8 +616,7 @@ class TestConfigHandling:
          (["sweep", "--width-from", "1", "--width-to", "1e308", "--steps", "3"],
           "width 5e+307 is too large: width^2 overflows")],
         ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing",
-             "min_tolerance_nan", "min_tolerance_inf", "min_tolerance_negative",
-             "min_tolerance_key_negative", "min_tolerance_exponent", "min_tolerance_upper_exponent",
+             "t_max_exponent",
              "width_ratio_minus_inf", "width_ratio_upper_exponent", "sweep_width_to_inf",
              "sweep_width_from_inf", "width_ratio_square_overflows", "sweep_width_square_overflows"],
     )
@@ -619,7 +625,6 @@ class TestConfigHandling:
             f"[model]\ntype = tabulated\ntable = {tmp_path}/missing.txt\nqubit_frequency = 1\n"
             "[solver]\nt_max = 10\n"
         )
-        (tmp_path / "tolerance.ini").write_text("[measure]\nmin_tolerance = -1e-9\n")
         argv = [a.format(tmp=tmp_path) for a in argv]
         if "--out" not in argv:
             argv += ["--out", str(tmp_path / "out.txt")]
@@ -785,6 +790,26 @@ class TestDetunedMeasure:
         assert bundle["config"]["model"]["detuning"] == 0.3
         assert bundle["regime"] is None and bundle["kappa"] is None
 
+    def test_nonvanishing_minima_measured(self, tmp_path):
+        # |b|'s minima reach 0.55 here, so the |e>/|g> pair rises most.
+        ini = tmp_path / "detuned.ini"
+        ini.write_text(DETUNED_01_INI)
+        code, text = run(tmp_path, "measure", "--config", str(ini))
+        assert code == EXIT_OK
+        bundle = json.loads(text)
+        assert bundle["n_eg"]["total"] == pytest.approx(0.208652, abs=1e-6)
+        assert bundle["n_single"]["total"] == pytest.approx(0.174373, abs=1e-6)
+        assert max(iv["value_at_min"] for iv in bundle["n_eg"]["extrema"]) > 0.3
+
+    def test_signal_left_at_the_horizon_is_numerical_failure(self, tmp_path, capsys):
+        ini = tmp_path / "detuned.ini"
+        ini.write_text(DETUNED_01_INI)
+        code, _ = run(tmp_path, "measure", "--config", str(ini), "--t-max", "60")
+        assert code == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "nonmarkov: numerical failure: signal still reaches 2.285e-01 over the last 5% "
+            "of the horizon; extend t_max\n")
+
 
 class TestLogging:
     def test_nm_log_env_accepted(self, tmp_path):
@@ -845,11 +870,14 @@ class TestLogging:
             # Far detuned at a coarse step, the scheme goes unstable.
             ("[model]\ndetuning = 100\n[solver]\nmethod = volterra\ndt = 0.1\nt_max = 10\n",
              ["measure"], EXIT_NUMERICAL, "nonmarkov: numerical failure: |b(0.2)| = "),
-            # The closed form's phase detuning * t passes 1e308.
+            # The phase detuning * t passes 1e308, in the closed form and in the
+            # correlation that the Volterra solve samples.
             ("[model]\ndetuning = 1e308\n[solver]\ndt = 10\nt_max = 1000\n", ["simulate"],
-             EXIT_CONFIG, "nonmarkov: config error: detuning 1e+308 is too large for t up to 1000"),
+             EXIT_CONFIG, PHASE_OVERFLOW),
+            ("[model]\nwidth_ratio = 1\ndetuning = 1e308\n[solver]\nmethod = volterra\n",
+             ["simulate", "--dt", "10", "--t-max", "1000"], EXIT_CONFIG, PHASE_OVERFLOW),
         ],
-        ids=["config_error", "numerical_failure", "phase_overflow"],
+        ids=["config_error", "numerical_failure", "phase_overflow", "phase_overflow_volterra"],
     )
     def test_failure_is_one_stderr_line(self, tmp_path, ini_text, argv, code, prefix):
         import os
