@@ -357,25 +357,36 @@ class TheoremVerification:
 _VERIFY_BLOCK = 1 << 16
 
 
-def _state_pair_block(samples: int, seed: int, start: int, stop: int):
-    """Pairs start .. stop-1 of `sample_state_pairs(samples, seed)`.
+def _draws(samples: int, seed: int, i: int, start: int, stop: int) -> np.ndarray:
+    """Elements start .. stop-1 of uniform array i of `sample_state_pairs(samples, seed)`.
 
     The six uniform arrays are consecutive blocks of one PCG64 stream, one
     64-bit draw per double, so array i's element k is draw i*samples + k and
     each block is reached with `advance` instead of drawing what precedes it.
+    Arrays 0, 1, 2, 4 are alpha, mu and the radial draws of beta and nu, and
+    3, 5 the angles of beta and nu in units of 2 pi: `random() * high` is
+    bit for bit `uniform(0.0, high)`, which numpy computes as
+    0.0 + high * random().
     """
+    bits = np.random.PCG64(seed)
+    bits.advance(i * samples + start)
+    return np.random.Generator(bits).random(stop - start)
 
-    def uniform(i, high=1.0):
-        bits = np.random.PCG64(seed)
-        bits.advance(i * samples + start)
-        return np.random.Generator(bits).uniform(0.0, high, size=stop - start)
 
-    alpha = uniform(0)
-    mu = uniform(1)
-    r1 = np.sqrt(alpha * (1.0 - alpha)) * np.sqrt(uniform(2))
-    th1 = uniform(3, 2.0 * np.pi)
-    r2 = np.sqrt(mu * (1.0 - mu)) * np.sqrt(uniform(4))
-    th2 = uniform(5, 2.0 * np.pi)
+def _radii(samples: int, seed: int, start: int, stop: int):
+    """(alpha, |beta|, mu, |nu|) of pairs start .. stop-1."""
+    alpha = _draws(samples, seed, 0, start, stop)
+    mu = _draws(samples, seed, 1, start, stop)
+    r1 = np.sqrt(alpha * (1.0 - alpha)) * np.sqrt(_draws(samples, seed, 2, start, stop))
+    r2 = np.sqrt(mu * (1.0 - mu)) * np.sqrt(_draws(samples, seed, 4, start, stop))
+    return alpha, r1, mu, r2
+
+
+def _state_pair_block(samples: int, seed: int, start: int, stop: int):
+    """Pairs start .. stop-1 of `sample_state_pairs(samples, seed)`."""
+    alpha, r1, mu, r2 = _radii(samples, seed, start, stop)
+    th1 = _draws(samples, seed, 3, start, stop) * (2.0 * np.pi)
+    th2 = _draws(samples, seed, 5, start, stop) * (2.0 * np.pi)
     return alpha, r1 * np.exp(1j * th1), mu, r2 * np.exp(1j * th2)
 
 
@@ -398,27 +409,69 @@ def verify_theorem(
     of fixed size; the reductions, including the first worst pair, are the
     same as over the full arrays. `bound_scale` deliberately weakens the
     bound (test hook for the negative control); production use keeps it at 1.
+
+    D(t) - scale*|b(t)| = |b| (sqrt(|b|^2 A + B) - scale) grows with |b|
+    wherever it is positive, so the grid maximum sits at x = max|b|, and a
+    pair's report is its ratio R = sqrt(x^2 A + B), A = (alpha - mu)^2 and
+    B = |beta - nu|^2, and its excess x (R - scale). R grows with B, and
+    |beta - nu| <= r_alpha + r_mu for coherence radii r = |beta|, |nu|, so
+    U = sqrt(x^2 A + (r_alpha + r_mu)^2) bounds R without the angles. Each
+    block computes U for all its pairs and R, with the two complex
+    exponentials, only for those with U >= min(M, scale + slack/x) - tol.
+    M is the largest of the running maximum of R and R of the block's 16
+    largest-U pairs, so it is a ratio some pair attains.
+
+    The computed R exceeds the computed U, with the same A and radii, by at
+    most about 14 eps U <= 20 eps: each of the exponential, the products,
+    the difference, the hypot, the square, the sum and the sqrt rounds
+    relative to a value no larger than U's. tol = 2^-30 exceeds that by a
+    factor above 10^5. So a pair left out has R < M - tol/2 and cannot set
+    the maximum. Since x >= |b(0)| = 1, its excess is below slack - tol/2,
+    so it is no violation. Pairs are left out only when the floor is above
+    0 <= U, so scale > -slack, and a violation needs scale < R < 1.5; then
+    the excess rounds to far finer than tol, and a left-out pair cannot tie
+    the worst pair's excess either. The counts, the maxima and the first
+    worst pair are those of evaluating every pair; memory stays at one block.
     """
     if samples < 1:
         raise PhysicalityError("need at least one sample")
+    if not math.isfinite(bound_scale):
+        raise PhysicalityError(f"bound_scale must be finite, got {bound_scale}")
     x = float(np.max(np.abs(b_traj.values)))
-    violations = 0
+    line = bound_scale + constants.THEOREM_SLACK / x
+    tol = 2.0**-30
+    violations = evaluated = 0
     max_ratio = worst_excess = -np.inf
     worst = None
     for start in range(0, samples, _VERIFY_BLOCK):
-        alpha, beta, mu, nu = _state_pair_block(
-            samples, seed, start, min(start + _VERIFY_BLOCK, samples)
-        )
-        # D(t) - scale*|b(t)| = |b| (sqrt(|b|^2 A + B) - scale) grows with |b|
-        # wherever it is positive, so the grid maximum sits at max|b|.
-        ratios = _distance_over_b(x, (alpha - mu) ** 2, np.abs(beta - nu) ** 2)
+        stop = min(start + _VERIFY_BLOCK, samples)
+        alpha, r1, mu, r2 = _radii(samples, seed, start, stop)
+        a2 = (alpha - mu) ** 2
+        bound = _distance_over_b(x, a2, (r1 + r2) ** 2)
+        th1 = _draws(samples, seed, 3, start, stop) * (2.0 * np.pi)
+        th2 = _draws(samples, seed, 5, start, stop) * (2.0 * np.pi)
+
+        def exact(k):
+            beta, nu = r1[k] * np.exp(1j * th1[k]), r2[k] * np.exp(1j * th2[k])
+            return beta, nu, _distance_over_b(x, a2[k], np.abs(beta - nu) ** 2)
+
+        top = np.argpartition(bound, -min(16, bound.size))[-16:]  # the 16 largest bounds
+        floor = min(max(max_ratio, float(np.max(exact(top)[2]))), line) - tol
+        k = np.flatnonzero(bound >= floor)
+        if k.size == 0:
+            continue
+        evaluated += k.size
+        beta, nu, ratios = exact(k)
         excess = x * (ratios - bound_scale)
         violations += int(np.sum(excess > constants.THEOREM_SLACK))
         max_ratio = max(max_ratio, float(np.max(ratios)))
-        k = int(np.argmax(excess))
-        if excess[k] > worst_excess:  # strict: the first worst pair wins ties
-            worst_excess = float(excess[k])
-            worst = (float(alpha[k]), complex(beta[k]), float(mu[k]), complex(nu[k]))
+        j = int(np.argmax(excess))
+        if excess[j] > worst_excess:  # strict: the first worst pair wins ties
+            worst_excess = float(excess[j])
+            i = k[j]
+            worst = (float(alpha[i]), complex(beta[j]), float(mu[i]), complex(nu[j]))
+    log.debug("verify_theorem: evaluated %d of %d pairs exactly, floor %.17g",
+              evaluated, samples, floor)
     worst_pair = None
     if violations:
         worst_pair = StatePair(

@@ -614,11 +614,19 @@ class TestConfigHandling:
           "width ratios must be positive and finite, got inf to 1.0"),
          (["measure", "--width-ratio", "1e155"], "width 1e+155 is too large: width^2 overflows"),
          (["sweep", "--width-from", "1", "--width-to", "1e308", "--steps", "3"],
-          "width 5e+307 is too large: width^2 overflows")],
+          "width 5e+307 is too large: width^2 overflows"),
+         # A non-finite scale would write NaN or Infinity, which is not JSON.
+         (["verify", "--width-ratio", "1", "--samples", "1000", "--fault-scale", "nan"],
+          "bound_scale must be finite, got nan"),
+         (["verify", "--width-ratio", "1", "--samples", "1000", "--fault-scale", "inf"],
+          "bound_scale must be finite, got inf"),
+         (["verify", "--width-ratio", "1", "--samples", "1000", "--fault-scale", "-inf"],
+          "bound_scale must be finite, got -inf")],
         ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing",
              "t_max_exponent",
              "width_ratio_minus_inf", "width_ratio_upper_exponent", "sweep_width_to_inf",
-             "sweep_width_from_inf", "width_ratio_square_overflows", "sweep_width_square_overflows"],
+             "sweep_width_from_inf", "width_ratio_square_overflows", "sweep_width_square_overflows",
+             "fault_scale_nan", "fault_scale_inf", "fault_scale_minus_inf"],
     )
     def test_bad_input_is_one_line_config_error(self, tmp_path, capsys, argv, fragment):
         (tmp_path / "table.ini").write_text(

@@ -586,6 +586,82 @@ class TestVerifyTheorem:
         assert got == reference_verify(traj, 1000, 42, bound_scale)
         assert (got.worst_pair is not None) == (bound_scale < 1.0)
 
+    @pytest.mark.parametrize("block", [7, 64, 1000, measure._VERIFY_BLOCK])
+    @pytest.mark.parametrize("bound_scale", [1.0, 0.9, 0.5, 0.0, 1.1])
+    def test_pruned_scan_matches_every_pair(self, monkeypatch, block, bound_scale):
+        # The angle-free bound leaves pairs out; the report must not notice.
+        monkeypatch.setattr(measure, "_VERIFY_BLOCK", block)
+        traj = lorentzian_trajectory(0.1, t_max=60.0)
+        for seed in range(20):
+            assert verify_theorem(traj, 2000, seed, bound_scale) == reference_verify(
+                traj, 2000, seed, bound_scale)
+
+    @pytest.mark.parametrize("bound_scale", [1.0, 0.9])
+    def test_pruned_scan_matches_above_unit_amplitude(self, bound_scale):
+        values = lorentzian_trajectory(0.1, t_max=60.0).values.copy()
+        values[1] = 1.0 + 5e-9  # inside AMPLITUDE_BOUND_SLACK, so x != 1
+        traj = AmplitudeTrajectory(dt=1e-3, values=values)
+        for seed in range(5):
+            got = verify_theorem(traj, 20_000, seed, bound_scale)
+            assert got == reference_verify(traj, 20_000, seed, bound_scale)
+
+    def test_pruned_scan_matches_at_benchmark_size(self):
+        traj = lorentzian_trajectory(0.1, t_max=60.0)
+        assert verify_theorem(traj, 10**6, 12345) == reference_verify(traj, 10**6, 12345)
+
+    @pytest.mark.parametrize("block", [7, 16])
+    def test_pairs_at_their_bound_are_kept(self, monkeypatch, block):
+        # With nu = 0 and one alpha and |beta| for all pairs, every ratio is
+        # its bound up to the rounding of |beta|, and a few lie above it: a
+        # floor without its rounding margin would drop them.
+        draws = measure._draws
+
+        def degenerate(samples, seed, i, start, stop):
+            if i in (3, 5):  # the angles stay random
+                return draws(samples, seed, i, start, stop)
+            return np.full(stop - start, {0: 0.3, 1: 0.0, 2: 0.7, 4: 0.5}[i])
+
+        monkeypatch.setattr(measure, "_draws", degenerate)
+        monkeypatch.setattr(measure, "_VERIFY_BLOCK", block)
+        traj = lorentzian_trajectory(0.1, t_max=60.0)
+        alpha, beta, mu, nu = sample_state_pairs(1000, 5)
+        ratios = np.sqrt((alpha - mu) ** 2 + np.abs(beta - nu) ** 2)  # max|b| = 1 here
+        assert np.ptp(ratios) > 0.0
+        for bound_scale in (1.0, float(np.max(ratios)) - constants.THEOREM_SLACK):
+            excess = ratios - bound_scale
+            got = verify_theorem(traj, 1000, 5, bound_scale)
+            assert got.max_ratio == np.max(ratios) and got.worst_excess == np.max(excess)
+            assert got.violations == np.sum(excess > constants.THEOREM_SLACK)
+            if got.violations:
+                k = int(np.argmax(excess))
+                assert (got.worst_pair.first.beta, got.worst_pair.second.alpha) == (beta[k], mu[k])
+
+    @pytest.mark.parametrize("bound_scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_scale_rejected(self, bound_scale):
+        traj = lorentzian_trajectory(0.1, t_max=60.0)
+        with pytest.raises(PhysicalityError, match=f"bound_scale must be finite, got {bound_scale}"):
+            verify_theorem(traj, samples=100, seed=1, bound_scale=bound_scale)
+
+    def test_negative_bound_scale_flags_every_pair(self):
+        traj = lorentzian_trajectory(0.1, t_max=60.0)
+        report = verify_theorem(traj, samples=100, seed=1, bound_scale=-1.0)
+        assert report.violations == 100 and not report.ok
+
+    @pytest.mark.parametrize("bound_scale", [1.0, 0.9])
+    def test_debug_line_counts_pairs_evaluated(self, caplog, bound_scale):
+        traj = lorentzian_trajectory(0.1, t_max=60.0)
+        with caplog.at_level(logging.DEBUG, logger="nonmarkov.measure"):
+            report = verify_theorem(traj, samples=10**5, seed=42, bound_scale=bound_scale)
+        [line] = [r.getMessage() for r in caplog.records if r.name == "nonmarkov.measure"]
+        match = re.fullmatch(r"verify_theorem: evaluated (\d+) of 100000 pairs exactly, floor (\S+)",
+                             line)
+        assert match, line
+        evaluated, floor = int(match[1]), float(match[2])
+        if bound_scale == 1.0:
+            assert 1 <= evaluated <= 1000 and floor <= report.max_ratio
+        else:
+            assert evaluated >= report.violations > 0 and floor < 0.9 + 1e-9
+
     def test_memory_does_not_grow_with_samples(self):
         traj = lorentzian_trajectory(0.5, t_max=60.0)
         peaks = []
