@@ -18,7 +18,6 @@ from .dynamics import (
     bell_phi,
     bell_psi,
     concurrence_bell,
-    concurrence_trajectories,
     density_matrix,
     evolve_single,
     evolve_two_qubit,
@@ -26,14 +25,11 @@ from .dynamics import (
     ground_state,
     kraus_pair,
     minus_state,
-    optimal_distance_trajectory,
     optimal_pair,
-    pair_distance_trajectory,
     plus_state,
     population_excited,
     trace_distance_single,
     trace_distance_two,
-    two_qubit_distance_trajectory,
 )
 from .errors import (
     HorizonError,
@@ -48,13 +44,10 @@ from .measure import (
     ExtremumInterval,
     NonMarkovianityReport,
     TheoremVerification,
-    blp_from_trajectory,
     brute_force_max,
     find_extrema,
-    lower_bound_two,
     lower_bound_two_from_population,
     nonmarkovianity_from_population,
-    nonmarkovianity_single,
     sample_state_pairs,
     verify_theorem,
 )

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import constants
 from .amplitude import AmplitudeTrajectory, Method, SolverConfig, compute_trajectory, default_horizon
-from .dynamics import concurrence_bell, optimal_distance_trajectory, population_excited, trace_distance_two
+from .dynamics import concurrence_bell, population_excited, trace_distance_two
 from .errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
 from .measure import _population_measures, verify_theorem
 from .reservoir import Lorentzian, OhmicFamily, load_tabulated
@@ -204,6 +204,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.jobs < 1:
         raise ConfigError("jobs must be at least 1")
+    # verify's negative-control hook, checked before the trajectory is built.
+    fault_scale = getattr(args, "fault_scale", 1.0)
+    if not math.isfinite(fault_scale):
+        raise ConfigError(f"fault_scale must be finite, got {fault_scale}")
     return cfg
 
 
@@ -414,7 +418,7 @@ def _write_signal_rows(fh, t, b, abs_b, pop, d_two, conc_phi) -> tuple[int, int]
 def cmd_simulate(cfg: RunConfig, out) -> int:
     traj = cfg.trajectory()
     b = traj.values
-    abs_b = optimal_distance_trajectory(traj).values
+    abs_b = np.abs(b)
     pop, conc_phi = concurrence_bell(b)
     header = "t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi\n"
     with _output(out) as fh:

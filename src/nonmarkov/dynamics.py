@@ -11,11 +11,12 @@ covers entangled (Bell) inputs.
 
 The closed forms (`trace_distance_single`, `trace_distance_two`,
 `concurrence_bell`) take a scalar or an array of amplitudes and broadcast
-over it; the trajectory signals are these same functions applied to b(t),
-stored as `ScalarTrajectory` on `reservoir`'s sample grid. The channel
-takes |b| up to 1 + AMPLITUDE_BOUND_SLACK, the bound on stored
-trajectories. The population |b|^2 and the single-qubit distance are
-clipped at 1, so those amplitudes still give signals in [0, 1].
+over it. The one trajectory signal is the excited population |b(t)|^2,
+stored as `ScalarTrajectory` on `reservoir`'s sample grid: every measure
+is read off it. The channel takes |b| up to 1 + AMPLITUDE_BOUND_SLACK,
+the bound on stored trajectories. The population |b|^2 and the
+single-qubit distance are clipped at 1, so those amplitudes still give
+values in [0, 1].
 The square root in a pair's single-qubit distance is `_distance_over_b`,
 which `measure` also uses to check D <= |b| and to score pairs.
 """
@@ -62,7 +63,7 @@ class StatePair:
 
 @dataclass(frozen=True, eq=False)
 class ScalarTrajectory(_SampleGrid):
-    """A real signal on a uniform grid: trace distance, population, concurrence."""
+    """A real signal in [0, 1] on a uniform grid, such as the excited population."""
 
     lorentzian: Lorentzian | None = None
 
@@ -115,10 +116,6 @@ def _population(b: complex | np.ndarray) -> float | np.ndarray:
     return np.minimum(x * x, 1.0)
 
 
-def _signal(traj: AmplitudeTrajectory, values) -> ScalarTrajectory:
-    return ScalarTrajectory(dt=traj.dt, values=values, lorentzian=traj.lorentzian)
-
-
 def kraus_pair(b: complex) -> tuple[np.ndarray, np.ndarray]:
     """Amplitude-damping Kraus pair with survival amplitude b."""
     decay = np.sqrt(1.0 - _population(b))
@@ -158,19 +155,9 @@ def trace_distance_single(pair: StatePair, b: complex | np.ndarray) -> float | n
     return np.minimum(x * _distance_over_b(x, da * da, db * db), 1.0)
 
 
-def pair_distance_trajectory(traj: AmplitudeTrajectory, pair: StatePair) -> ScalarTrajectory:
-    """Closed-form trace distance of an evolving pair along a trajectory."""
-    return _signal(traj, trace_distance_single(pair, traj.values))
-
-
-def optimal_distance_trajectory(traj: AmplitudeTrajectory) -> ScalarTrajectory:
-    """|b(t)|: the trace distance of the optimal |+>/|-> pair."""
-    return _signal(traj, _check_amplitude(traj.values))
-
-
 def population_excited(traj: AmplitudeTrajectory) -> ScalarTrajectory:
     """Excited population |b(t)|^2 of a qubit prepared in |e>."""
-    return _signal(traj, _population(traj.values))
+    return ScalarTrajectory(dt=traj.dt, values=_population(traj.values), lorentzian=traj.lorentzian)
 
 
 def bell_psi() -> DensityMatrix:
@@ -223,16 +210,7 @@ def trace_distance_two(b: complex | np.ndarray) -> float | np.ndarray:
     return x * np.sqrt(2.0 - 2.0 * x2 + x2 * x2)
 
 
-def two_qubit_distance_trajectory(traj: AmplitudeTrajectory) -> ScalarTrajectory:
-    return _signal(traj, trace_distance_two(traj.values))
-
-
 def concurrence_bell(b: complex | np.ndarray) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Concurrences (|b|^2, |b|^4) of evolved Bell states |Psi> and |Phi>."""
     x2 = _population(b)
     return x2, x2 * x2
-
-
-def concurrence_trajectories(traj: AmplitudeTrajectory) -> tuple[ScalarTrajectory, ScalarTrajectory]:
-    c_psi, c_phi = concurrence_bell(traj.values)
-    return _signal(traj, c_psi), _signal(traj, c_phi)

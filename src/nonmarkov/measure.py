@@ -23,8 +23,6 @@ from .dynamics import (
     StatePair,
     QubitInitialState,
     _distance_over_b,
-    optimal_distance_trajectory,
-    pair_distance_trajectory,
     population_excited,
     trace_distance_two,
 )
@@ -42,9 +40,6 @@ class ExtremumInterval:
     t_max: float
     value_at_min: float
     value_at_max: float
-
-    def rise(self) -> float:
-        return self.value_at_max - self.value_at_min
 
 
 def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
@@ -202,15 +197,6 @@ def _report(intervals, contributions, horizon, tail_bound, model: Lorentzian | N
     )
 
 
-def blp_from_trajectory(d: ScalarTrajectory) -> NonMarkovianityReport:
-    """Summed growth of a distance signal over its rising intervals."""
-    intervals = find_extrema(d)
-    contributions = [iv.rise() for iv in intervals]
-    return _report(
-        intervals, contributions, d.t_max, _generic_tail_bound(contributions), d.lorentzian
-    )
-
-
 def _lorentzian_truncation(model: Lorentzian, horizon: float, intervals):
     """Envelope-based stopping rule and exact geometric tail for |b| maxima.
 
@@ -281,11 +267,6 @@ _EG = {"weight": lambda p: p, "tail_scale": 1.0}
 _TWO = {"weight": lambda p: trace_distance_two(np.sqrt(p)), "tail_scale": math.sqrt(2.0)}
 
 
-def nonmarkovianity_single(b_traj: AmplitudeTrajectory) -> NonMarkovianityReport:
-    """The single-qubit measure: `nonmarkovianity_from_population` of |b(t)|^2."""
-    return nonmarkovianity_from_population(population_excited(b_traj))
-
-
 def nonmarkovianity_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
     """Sum of the rises of sqrt(P) over the rising intervals of the excited population P.
 
@@ -297,11 +278,6 @@ def nonmarkovianity_from_population(p_traj: ScalarTrajectory) -> NonMarkovianity
     value 1/(e^{pi*width/kappa} - 1) is attached for cross-checking.
     """
     return _sum_of_rises(p_traj, **_SINGLE)
-
-
-def lower_bound_two(b_traj: AmplitudeTrajectory) -> NonMarkovianityReport:
-    """Two-qubit lower bound: `lower_bound_two_from_population` of |b(t)|^2."""
-    return lower_bound_two_from_population(population_excited(b_traj))
 
 
 def lower_bound_two_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
@@ -531,10 +507,12 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     """Grid search over parameterized pairs maximizing the backflow sum.
 
     Validation-only counterpart of the closed-form optimal pair. Because
-    D = x sqrt(x^2 A + B) is pointwise monotone in x = |b|, every pair's
-    distance signal shares the extremum times of |b|; the grid is scored
-    from the refined |b| extrema and the winner re-evaluated with the full
-    per-pair extremum detection.
+    D = x sqrt(x^2 A + B) grows with x = |b| = sqrt(P), every pair's
+    distance rises exactly where the excited population P does, so the
+    grid is scored on the one extremum search of P that the measures use,
+    at hi, lo = sqrt(P_hi), sqrt(P_lo). The best cell's score is
+    `best_total`; at an odd density the grid holds |+>/|->, whose cell
+    scores the rises that `n_single` sums.
 
     A pair's score is S(A, B) = sum hi sqrt(hi^2 A + B) - lo sqrt(lo^2 A + B)
     over the intervals, with A = (alpha - mu)^2, B = |beta - nu|^2 and
@@ -562,8 +540,10 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
     """
     if grid_density < 3:
         raise PhysicalityError("grid_density must be at least 3")
-    sig = optimal_distance_trajectory(b_traj)
-    intervals = find_extrema(sig)
+    intervals = [
+        ExtremumInterval(iv.t_min, iv.t_max, math.sqrt(iv.value_at_min), math.sqrt(iv.value_at_max))
+        for iv in find_extrema(population_excited(b_traj))
+    ]
     level = np.linspace(0.0, 1.0, grid_density)
     radius = np.linspace(-1.0, 1.0, grid_density)
     r = np.sqrt(level * (1.0 - level))
@@ -577,10 +557,9 @@ def brute_force_max(b_traj: AmplitudeTrajectory, grid_density: int) -> BruteForc
         score = _score(intervals, np.square(level[i] - level[k]), b2)
         j, m = np.unravel_index(int(np.argmax(score)), score.shape)
         cells.append((-score[j, m], i, j, k, m))
-    _, i, j, k, m = min(cells)
+    neg_score, i, j, k, m = min(cells)
     best_pair = StatePair(
         first=QubitInitialState(float(level[i]), complex(radius[j] * r[i])),
         second=QubitInitialState(float(level[k]), complex(radius[m] * r[k])),
     )
-    exact = blp_from_trajectory(pair_distance_trajectory(b_traj, best_pair))
-    return BruteForceResult(best_pair=best_pair, best_total=exact.total, grid_density=grid_density)
+    return BruteForceResult(best_pair=best_pair, best_total=-float(neg_score), grid_density=grid_density)

@@ -32,8 +32,7 @@ from nonmarkov.dynamics import (
     excited_state,
     ground_state,
     minus_state,
-    optimal_distance_trajectory,
-    pair_distance_trajectory,
+    optimal_pair,
     plus_state,
     population_excited,
     trace_distance_single,
@@ -41,16 +40,15 @@ from nonmarkov.dynamics import (
 )
 from nonmarkov.linalg import trace_distance, wootters_concurrence
 from nonmarkov.measure import (
-    blp_from_trajectory,
     brute_force_max,
     find_extrema,
-    lower_bound_two,
     lower_bound_two_from_population,
-    nonmarkovianity_single,
+    nonmarkovianity_from_population,
     sample_state_pairs,
     verify_theorem,
 )
 from nonmarkov.reservoir import Lorentzian, correlation, kappa
+from pair_reference import pair_blp_sum, pair_distance, signal, sum_of_rises
 
 
 def report(num, description, ok):
@@ -66,6 +64,10 @@ def measure_trajectory(width, dt=1e-3):
 @pytest.fixture(scope="module")
 def traj01():
     return measure_trajectory(0.1)
+
+
+def n_single(traj):
+    return nonmarkovianity_from_population(population_excited(traj))
 
 
 def geometric_total(width, power=1):
@@ -96,8 +98,8 @@ def test_criterion_1_solver_equivalence():
 
 
 def test_criterion_2_closed_form_measure(traj01):
-    got_01 = nonmarkovianity_single(traj01).total
-    got_10 = nonmarkovianity_single(measure_trajectory(1.0)).total
+    got_01 = n_single(traj01).total
+    got_10 = n_single(measure_trajectory(1.0)).total
     want_01 = geometric_total(0.1)
     want_10 = geometric_total(1.0)
     ok = (
@@ -111,13 +113,13 @@ def test_criterion_2_closed_form_measure(traj01):
 
 def test_criterion_3_pair_dominance(traj01):
     pair = StatePair(excited_state(), ground_state())
-    got = blp_from_trajectory(pair_distance_trajectory(traj01, pair)).total
+    got = pair_blp_sum(traj01, pair)
     want = geometric_total(0.1, power=2)
     ok = abs(got - want) <= 1e-3 and abs(got - 0.3099) <= 1e-3
     for width in np.linspace(0.1, 1.0, 10):
         traj = measure_trajectory(float(width))
-        eg = blp_from_trajectory(pair_distance_trajectory(traj, pair)).total
-        full = nonmarkovianity_single(traj).total
+        eg = pair_blp_sum(traj, pair)
+        full = n_single(traj).total
         ok = ok and eg < full
     report(3, f"N_eg(0.1)={got:.6f} (geom {want:.6f}) and N_eg < N_single on the sweep grid", ok)
 
@@ -126,18 +128,16 @@ def test_criterion_4_markovian_nullity():
     ok = True
     for width in (2.0, 5.0, 10.0):
         traj = measure_trajectory(width)
-        n_s = nonmarkovianity_single(traj)
-        n_eg = blp_from_trajectory(
-            pair_distance_trajectory(traj, StatePair(excited_state(), ground_state()))
-        )
-        n_t = lower_bound_two(traj)
-        ok = ok and n_s.total == 0.0 and n_eg.total == 0.0 and n_t.total == 0.0
-        ok = ok and not n_s.intervals and not n_eg.intervals and not n_t.intervals
+        n_s = n_single(traj)
+        eg_signal = pair_distance(traj, StatePair(excited_state(), ground_state()))
+        n_t = lower_bound_two_from_population(population_excited(traj))
+        ok = ok and n_s.total == 0.0 and sum_of_rises(eg_signal) == 0.0 and n_t.total == 0.0
+        ok = ok and not n_s.intervals and not find_extrema(eg_signal) and not n_t.intervals
     report(4, "widths {2, 5, 10}: all three measures exactly 0, no extrema detected", ok)
 
 
 def test_criterion_5_zero_times(traj01):
-    intervals = find_extrema(optimal_distance_trajectory(traj01))
+    intervals = find_extrema(pair_distance(traj01, optimal_pair()))
     expected = lorentzian_min_times(1.0, 0.1, 10)
     got = np.array([iv.t_min for iv in intervals[:10]])
     residual = np.array([iv.value_at_min for iv in intervals[:10]])
@@ -148,7 +148,7 @@ def test_criterion_5_zero_times(traj01):
 
 def test_criterion_6_theorem_suite(traj01):
     verification = verify_theorem(traj01, samples=10**4, seed=42)
-    single = nonmarkovianity_single(traj01).total
+    single = n_single(traj01).total
     brute = brute_force_max(traj01, grid_density=21)
     pair = brute.best_pair
     ok = (
@@ -208,19 +208,20 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_two_qubit_lower_bound(traj01):
-    eq14 = lower_bound_two(traj01)
+    # Eq. (14) sums the |++>/|--> distance over its own extrema, Eq. (15) over the population's.
+    eq14 = sum_of_rises(signal(traj01, trace_distance_two(traj01.values)))
     eq15 = lower_bound_two_from_population(population_excited(traj01))
     q = math.exp(-math.pi * 0.1 / kappa(Lorentzian(1.0, 0.1)))
     xs = q ** np.arange(1, 400)
     oracle = float(np.sum(xs * np.sqrt(2.0 - 2.0 * xs**2 + xs**4)))
     ok = (
-        abs(eq14.total - eq15.total) <= 1e-9
-        and abs(eq14.total - oracle) <= 1e-6
-        and abs(eq14.total - 1.253) <= 1e-2
+        abs(eq14 - eq15.total) <= 1e-9
+        and abs(eq14 - oracle) <= 1e-6
+        and abs(eq14 - 1.253) <= 1e-2
     )
     report(
         8,
-        f"two-qubit bound {eq14.total:.6f}: equals population form to 1e-9 and "
+        f"two-qubit bound {eq14:.6f}: equals population form to 1e-9 and "
         f"term oracle {oracle:.6f}",
         ok,
     )

