@@ -14,9 +14,11 @@ Volterra equation
 is integrated with implicit trapezoidal product integration (the fully
 converged corrector, second order overall) plus Gregory end corrections on
 the history integral. The scheme is linear with a Toeplitz history sum, so
-all steps are solved at once as one power-series division, by Newton
-doubling with FFT products: O(N log N) in the step count, with no loop
-over steps.
+all steps are solved at once as one power-series division, in blocks that
+end where halving N + 1 lands: each block of b comes from its own residual,
+and a Newton step extends the reciprocal series for the next. Products are
+cyclic at 5-smooth lengths, and real transforms serve a real kernel (a
+resonant Lorentzian): O(N log N) in the step count, with no loop over steps.
 
 `AmplitudeTrajectory` stores b on `reservoir`'s sample grid and adds
 b(0) = 1, at least two samples and |b| <= 1 + AMPLITUDE_BOUND_SLACK.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import logging
 import math
 from dataclasses import dataclass
 
@@ -35,6 +38,8 @@ from . import constants
 from .errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
 from .reservoir import (CorrelationSamples, Lorentzian, Regime, SpectralModel, _check_phase,
                         _SampleGrid, classify_regime, correlation, kappa)
+
+log = logging.getLogger(__name__)
 
 
 class Method(enum.Enum):
@@ -257,11 +262,19 @@ def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTraject
 
     where b1 is the first (plain trapezoid) step. The solver divides R by P
     for W = B - 1/(1 - z), the series of b[k] - 1, so that a vanishing
-    kernel gives b = 1 exactly. 1/P comes from Newton doubling with FFT
-    products (Brent & Kung, J. ACM 25 (1978) 581); each doubling also yields
-    the next block of b, O(N log N) in all. Aborts with a numerical failure
-    at the first step where |b| leaves the unit disk by more than the
-    instability slack.
+    kernel gives b = 1 exactly: P W = S with S = R - P/(1 - z).
+
+    The blocks [lo, hi) end where halving N + 1 (rounding up) lands, so each
+    block is at most as long as what precedes it. Each block of W comes from
+    its own residual, W[lo:hi] = Q (S - P W[:lo]) on [lo, hi), with Q = 1/P
+    to order lo; while another block follows, one Newton step (Brent & Kung,
+    J. ACM 25 (1978) 581) extends Q to order hi from the residual of
+    P Q = 1, sharing P's transform. Every product is cyclic at the smallest
+    even 5-smooth length at least hi: 9 transforms a block, 6 in the last,
+    and O(N log N) in all. A real kernel (a resonant Lorentzian) keeps P, S, Q
+    and W real, and is solved with real transforms. Aborts with a numerical
+    failure at the first step where |b| leaves the unit disk by more than
+    the instability slack.
     """
     if abs(f.dt - cfg.dt) > 1e-12 * cfg.dt:
         raise PhysicalityError(f"correlation sampled at dt={f.dt}, solver wants {cfg.dt}")
@@ -273,66 +286,89 @@ def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTraject
     dt = cfg.dt
     h = 0.5 * dt * dt
     fv = f.values[: n + 1]
+    real = not fv.imag.any()
+    if real:
+        fv = fv.real
+    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
     f0, f1 = fv[0], fv[1]
     b1 = (1.0 - 0.5 * h * f1) / (1.0 + 0.5 * h * f0)
-    fg = fv.copy()  # T: F with the Gregory end weights folded in
-    fg[0] -= 7.0 * f0 / 12.0
-    fg[1] += f1 / 12.0
-    p = _times_one_plus_z(h * fg)
+    # (1 + z) T: T is F with the Gregory end weights 5/12 and 13/12 folded in.
+    p = _times_one_plus_z(fv)
+    p[:3] = (5.0 * f0 / 12.0, 5.0 * f0 / 12.0 + 13.0 * f1 / 12.0, 13.0 * f1 / 12.0 + fv[2])
+    p *= h
     p[0] += 1.0
     p[1] -= 1.0
-    # P W = R - P/(1 - z) = h (1 + z) (7F/12 - b1 z F/12 - f0/6 - T/(1 - z)).
-    rhs = np.cumsum(fg)
-    rhs *= -1.0
-    rhs += 7.0 / 12.0 * fv
+    # S = h (1 + z) (7F/12 - b1 z F/12 - f0/6 - T/(1 - z)), where T/(1 - z)
+    # is the running sum of F less 7 f0/12 - f1/12 past its first term.
+    rhs = np.cumsum(fv)
+    rhs -= 7.0 * f0 / 12.0 - f1 / 12.0
+    np.subtract(7.0 / 12.0 * fv, rhs, out=rhs)
     rhs[1:] -= b1 / 12.0 * fv[:-1]
     rhs[0] = 0.0  # 7f0/12 - f0/6 - 5f0/12: zero, so W starts at 0
-    s = _times_one_plus_z(h * rhs)
-    del fg, rhs
+    s = _times_one_plus_z(rhs)
+    s *= h
+    del rhs
 
-    q = np.empty(n + 1, dtype=complex)  # 1/P, one doubling at a time
-    b = np.empty(n + 1, dtype=complex)
+    ends = [n + 1]
+    while ends[-1] > 1:
+        ends.append((ends[-1] + 1) // 2)
+    ends.reverse()
+    q = np.empty(ends[-2], dtype=fv.dtype)  # 1/P, up to the last block
+    w = np.empty(n + 1, dtype=fv.dtype)  # W, and b once the last block is in
     q[0] = 1.0 / p[0]
-    b[0] = 1.0
+    w[0] = 0.0
     limit = 1.0 + constants.AMPLITUDE_INSTABILITY_SLACK
-    lo = 1
-    while lo <= n:
-        hi = min(2 * lo, n + 1)
+    for lo, hi in zip(ends, ends[1:]):
         m = hi - lo
-        size = 1 << (hi - 1).bit_length()  # cyclic length; no product wraps into [lo, hi)
-        fq = np.fft.fft(q[:lo], size)
-        # Residual of P Q = 1 on [lo, hi); Newton: q[lo:hi] = -(Q residual)[:m].
-        acc = np.fft.fft(p[:hi], size)
+        # At least hi, so no product wraps into [lo, hi), nor one with Q into
+        # [0, m); even, since odd lengths slow numpy's real transforms.
+        size = 2 * _fft_length(-(-hi // 2))
+        fp = fwd(p[:hi], size)
+        fq = fwd(q[:lo], size)
+        # W[lo:hi] = (Q r)[:m] with r = (S - P W[:lo])[lo:hi], which needs Q to order m <= lo.
+        acc = fwd(w[:lo], size)
+        acc *= fp
+        acc = fwd(s[lo:hi] - inv(acc, size)[lo:hi], size)
         acc *= fq
-        acc = np.fft.fft(np.fft.ifft(acc)[lo:hi], size)
-        acc *= fq if m == lo else np.fft.fft(q[:m], size)
-        q[lo:hi] = -np.fft.ifft(acc)[:m]
-        # W on [lo, hi): old Q against S[:hi], the new block against S[:m].
-        acc = np.fft.fft(s[:hi], size)
-        acc *= fq
-        block = np.zeros(size, dtype=complex)
-        block[lo:hi] = q[lo:hi]
-        block = np.fft.fft(block)
-        block *= np.fft.fft(s[:m], size)
-        acc += block
-        del block
-        b[lo:hi] = np.fft.ifft(acc)[lo:hi]
-        b[lo:hi] += 1.0
-        over = np.flatnonzero(np.abs(b[lo:hi]) > limit)
+        w[lo:hi] = inv(acc, size)[:m]
+        over = np.flatnonzero(np.abs(w[lo:hi] + 1.0) > limit)
         if over.size:
             k = lo + int(over[0])
             raise NumericalFailureError(
-                f"|b({k * dt:g})| = {abs(b[k]):.6f} exceeds 1 + {constants.AMPLITUDE_INSTABILITY_SLACK:g}; "
+                f"|b({k * dt:g})| = {abs(w[k] + 1.0):.6f} exceeds 1 + {constants.AMPLITUDE_INSTABILITY_SLACK:g}; "
                 "reduce dt"
             )
-        lo = hi
-    return AmplitudeTrajectory(dt=dt, values=b)
+        if hi <= n:
+            # Newton: q[lo:hi] = -(Q e)[:m] with e = (P Q)[lo:hi], the residual of P Q = 1.
+            fp *= fq
+            acc = fwd(inv(fp, size)[lo:hi], size)
+            acc *= fq
+            q[lo:hi] = -inv(acc, size)[:m]
+    w += 1.0
+    log.debug("solve_volterra: %d steps, %s transforms, %d doublings, largest transform %d",
+              n, "real" if real else "complex", len(ends) - 1, size)
+    return AmplitudeTrajectory(dt=dt, values=w)
 
 
 def _times_one_plus_z(a: np.ndarray) -> np.ndarray:
-    """Coefficients of (1 + z) a(z), truncated to len(a); overwrites a."""
-    a[1:] += a[:-1].copy()
-    return a
+    """Coefficients of (1 + z) a(z), truncated to len(a), as a new array."""
+    out = np.empty(a.size, dtype=a.dtype)
+    out[0] = a[0]
+    np.add(a[1:], a[:-1], out=out[1:])
+    return out
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer 2^i 3^j 5^k at least n."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
 
 
 def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTrajectory:

@@ -1,5 +1,6 @@
 """Tests for the closed-form amplitude and the Volterra solver."""
 
+import logging
 import re
 
 import mpmath
@@ -18,6 +19,7 @@ from nonmarkov.amplitude import (
     lorentzian_min_times,
     solve_volterra,
     _detuned_closed_form,
+    _fft_length,
     _poles,
 )
 from nonmarkov.errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
@@ -262,7 +264,7 @@ class TestVolterra:
         cfg = SolverConfig(dt=2e-3, t_max=30.0, method=Method.VOLTERRA)
         f = correlation(Lorentzian(1.0, 0.1), cfg.dt, cfg.steps + 1)
         traj = solve_volterra(f, cfg)
-        assert np.max(np.abs(traj.values.imag)) <= 1e-9
+        assert np.max(np.abs(traj.values.imag)) == 0.0
 
     def test_markovian_strictly_decreasing(self):
         cfg = SolverConfig(dt=1e-3, t_max=5.0, method=Method.VOLTERRA)
@@ -318,7 +320,8 @@ class TestVolterra:
 
 
 class TestVolterraMatchesStepLoop:
-    @pytest.mark.parametrize("steps", [10, 1000, 4097, 6000])
+    # N + 1 = 2^k, 2^k + 1, 3 2^k or a prime (7919) among the step counts N.
+    @pytest.mark.parametrize("steps", [10, 1000, 2047, 2048, 3071, 4097, 6000, 7918])
     @pytest.mark.parametrize("kernel", sorted(ORACLE_KERNELS))
     def test_matches_reference_loop(self, kernel, steps):
         model, dt = ORACLE_KERNELS[kernel]
@@ -345,6 +348,31 @@ class TestVolterraMatchesStepLoop:
         with pytest.raises(NumericalFailureError, match="reduce dt") as got:
             solve_volterra(f, cfg)
         assert str(got.value).startswith(str(want.value) + " exceeds")
+
+
+class TestVolterraTransforms:
+    def test_fft_length_is_smallest_5_smooth(self):
+        top = 10**5
+        smooth = sorted(2**i * 3**j * 5**k for i in range(18) for j in range(12) for k in range(9)
+                        if 2**i * 3**j * 5**k < 2 * top)
+        want = np.array(smooth)[np.searchsorted(smooth, np.arange(1, top + 1))]
+        got = np.array([_fft_length(n) for n in range(1, top + 1)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model, kind", [(Lorentzian(1.0, 0.5), "real"),
+                                             (Lorentzian(1.0, 0.5, detuning=0.3), "complex")],
+                             ids=["resonant", "detuned"])
+    def test_debug_line_per_solve(self, caplog, model, kind):
+        cfg = SolverConfig(dt=1e-2, t_max=25.0, method=Method.VOLTERRA)
+        f = correlation(model, cfg.dt, cfg.steps + 1)
+        with caplog.at_level(logging.DEBUG, logger="nonmarkov.amplitude"):
+            solve_volterra(f, cfg)
+        [record] = caplog.records
+        assert record.levelno == logging.DEBUG
+        # Blocks end at 1, 2, 3, 5, 10, 20, 40, 79, 157, 313, 626, 1251 and 2501;
+        # the last is transformed at 2560 = 2^9 5, the smallest even 5-smooth length.
+        assert record.getMessage() == (
+            f"solve_volterra: 2500 steps, {kind} transforms, 12 doublings, largest transform 2560")
 
 
 def mpmath_detuned(width, detuning, t):

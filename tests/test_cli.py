@@ -770,6 +770,25 @@ class TestStepCap:
         assert f"exceeds the cap of {constants.MAX_STEPS} steps" in err
         assert peak < 2**20
 
+    @pytest.mark.parametrize("ini_text", [
+        "[model]\ntype = ohmic\ncoupling = 0.1\nexponent = 1\ncutoff = 1\nqubit_frequency = 1\n"
+        "[solver]\ndt = 0.01\nt_max = 1310.72\n",
+        "[model]\nwidth_ratio = 1\n[solver]\nmethod = volterra\nt_max = 131.072\n",
+    ], ids=["ohmic_complex", "resonant_real"])
+    def test_volterra_measure_within_step_budget(self, tmp_path, ini_text):
+        # MAX_STEPS is a 2 GiB budget at 256 bytes per step, which a Volterra measure must fit.
+        steps = 2**17
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text)
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, "measure", "--config", str(ini))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 256 * steps, f"peak {peak / steps:.0f} bytes per step"
+
     @pytest.mark.parametrize("extra, allowed", [(0.0, True), (0.4, True), (0.6, False)])
     def test_cap_is_on_the_rounded_count(self, extra, allowed):
         # build_solver allocates nothing, so the cap itself is checked without running it.
