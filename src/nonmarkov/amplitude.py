@@ -21,7 +21,11 @@ cyclic at 5-smooth lengths, and real transforms serve a real kernel (a
 resonant Lorentzian): O(N log N) in the step count, with no loop over steps.
 
 `AmplitudeTrajectory` stores b on `reservoir`'s sample grid and adds
-b(0) = 1, at least two samples and |b| <= 1 + AMPLITUDE_BOUND_SLACK.
+b(0) = 1, at least two samples and |b| <= 1 + AMPLITUDE_BOUND_SLACK. A
+real b stays float64, as the resonant closed form and the real-transform
+Volterra solve give it, at half the bytes of a complex one; a detuned or
+general-spectrum b is complex128. The closed forms write b into one
+output array with at most one temporary of its size.
 """
 
 from __future__ import annotations
@@ -68,12 +72,15 @@ class SolverConfig:
 class AmplitudeTrajectory(_SampleGrid):
     """b(n*dt) on a uniform grid, b(0) = 1.
 
+    Real values stay float64 and any others are stored as complex128.
     `lorentzian` carries the generating model when it is a resonant
     Lorentzian; the measure module uses it for envelope-based truncation
     bounds. It is None for detuned Lorentzians and general spectra.
     """
 
     lorentzian: Lorentzian | None = None
+
+    _dtype = None
 
     def _check(self, v: np.ndarray) -> None:
         if v.size < 2:
@@ -103,24 +110,42 @@ def lorentzian_closed_form(gamma0: float, width: float, t):
     does not cancel, and 1 - e^{-kappa t} from expm1. The last term tends to
     width t/2 as kappa -> 0, so at kappa = 0 the same line is the critical
     exp(-width t/2)(1 + width t/2).
+
+    b is built in one output array beside one temporary of t's size. Each
+    step is an operation of these formulas on the operands they give it,
+    so the bits are those of evaluating them one whole array at a time.
     """
     k = kappa(Lorentzian(gamma0=gamma0, width=width))  # Lorentzian checks both rates
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise PhysicalityError("t must be nonnegative")
+    out = np.empty(tt.shape)
+    tmp = np.empty(tt.shape)
     if _oscillates(gamma0, width, k):
-        out = np.exp(-0.5 * width * tt) * (
-            np.cos(0.5 * k * tt) + (width / k) * np.sin(0.5 * k * tt)
-        )
+        np.multiply(0.5 * k, tt, out=tmp)
+        np.sin(tmp, out=out)
+        out *= width / k
+        out += np.cos(tmp, out=tmp)
+        np.multiply(-0.5 * width, tt, out=tmp)
     else:
         with np.errstate(over="ignore"):  # kappa t = inf is exact: e^{-kappa t} = 0
-            kt = k * tt
+            np.multiply(k, tt, out=tmp)
+        np.negative(tmp, out=tmp)
         # (1 - e^{-kappa t})/kappa, and its limit t at kappa = 0.
-        decay = -np.expm1(-kt) / k if k > 0.0 else tt
-        out = np.exp(-(gamma0 * width / (width + k)) * tt) * (
-            0.5 * (1.0 + np.exp(-kt)) + 0.5 * width * decay
-        )
-    out = np.where(tt == 0.0, 1.0, out)  # initial condition exact by definition
+        if k > 0.0:
+            np.negative(np.expm1(tmp, out=out), out=out)
+            out /= k
+        else:
+            out[...] = tt
+        out *= 0.5 * width
+        np.exp(tmp, out=tmp)
+        tmp += 1.0
+        tmp *= 0.5
+        out += tmp
+        np.multiply(-(gamma0 * width / (width + k)), tt, out=tmp)
+    out *= np.exp(tmp, out=tmp)
+    del tmp
+    out[tt == 0.0] = 1.0  # initial condition exact by definition
     return out if out.ndim else float(out)
 
 
@@ -152,15 +177,29 @@ def _detuned_closed_form(model: Lorentzian, t) -> np.ndarray:
           = e^{s1 t} [1 + (s2 + a)(1 - e^{-d t})/d],
     and s2 + a = -s1. Re d >= 0, so e^{-d t} stays bounded, and
     (1 - e^{-d t})/d comes from expm1: it does not cancel where s1 ~ s2,
-    and it is t where d = 0.
+    and it is t where d = 0. b is built in one complex output array beside
+    one complex temporary, each step an operation of these formulas on the
+    operands they give it, so the bits are those of evaluating them one
+    whole array at a time.
     """
     s1, d = _poles(model)
     tt = np.asarray(t, dtype=float)
+    out = np.empty(tt.shape, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase d t is rejected below
-        decay = -np.expm1(-d * tt) / d if d != 0.0 else tt
-        out = np.exp(s1 * tt) * (1.0 - s1 * decay)
+        if d != 0.0:
+            np.multiply(-d, tt, out=out)
+            np.negative(np.expm1(out, out=out), out=out)
+            out /= d
+        else:
+            out[...] = tt
+        np.multiply(s1, out, out=out)
+        np.subtract(1.0, out, out=out)
+        tmp = np.multiply(s1, tt)
+        np.multiply(np.exp(tmp, out=tmp), out, out=out)
+    del tmp
     _check_phase(model, out, tt)
-    return np.where(tt == 0.0, 1.0, out)
+    out[tt == 0.0] = 1.0
+    return out
 
 
 def lorentzian_min_times(gamma0: float, width: float, n_max: int) -> np.ndarray:
@@ -388,11 +427,12 @@ def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTraj
         t = cfg.dt * np.arange(n + 1)
         if not resonant:
             return AmplitudeTrajectory(dt=cfg.dt, values=_detuned_closed_form(model, t))
-        values = lorentzian_closed_form(model.gamma0, model.width, t).astype(complex)
+        values = lorentzian_closed_form(model.gamma0, model.width, t)
         return AmplitudeTrajectory(dt=cfg.dt, values=values, lorentzian=model)
     f = correlation(model, cfg.dt, n + 1)
     traj = solve_volterra(f, cfg)
     if resonant:
-        traj = AmplitudeTrajectory(dt=traj.dt, values=traj.values, lorentzian=model)
+        # solve_volterra has checked these values: attach the model without a second check.
+        object.__setattr__(traj, "lorentzian", model)
     return traj
 

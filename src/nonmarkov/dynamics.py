@@ -111,8 +111,15 @@ def _check_amplitude(b: complex | np.ndarray) -> float | np.ndarray:
 
 
 def _population(b: complex | np.ndarray) -> float | np.ndarray:
-    """Excited population |b|^2 after the channel, clipped at 1."""
+    """Excited population |b|^2 after the channel, clipped at 1.
+
+    A float array of |b| is squared and clipped in place, so no further
+    temporary of its size is made.
+    """
     x = _check_amplitude(b)
+    if isinstance(x, np.ndarray) and x.dtype.kind == "f":
+        x *= x
+        return np.minimum(x, 1.0, out=x)
     return np.minimum(x * x, 1.0)
 
 

@@ -42,6 +42,11 @@ class ExtremumInterval:
     value_at_max: float
 
 
+# find_extrema fills its sign array this many differences at a time, so its
+# float temporaries do not grow with the signal.
+_SIGN_BLOCK = 1 << 16
+
+
 def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
     """Locate rising intervals (local min -> next local max) of a signal.
 
@@ -50,18 +55,23 @@ def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
     cusp-aware two-line fit and keep whichever lies lower, then clip at 0).
     Plateau runs (|difference| < plateau tolerance) are merged and reported
     at their leftmost sample. Intervals that do not rise are dropped. A
-    monotone signal yields an empty list. Every step is one array
+    monotone signal yields an empty list. The int8 signs of the differences
+    are filled in blocks of `_SIGN_BLOCK` differences, so the float
+    temporaries do not grow with the signal; every later step is one array
     operation over all sign changes.
     """
     v = sig.values
     if v.size < 3:
         raise PhysicalityError("extremum detection needs at least 3 samples")
-    d = np.diff(v)
-    # Plateau threshold is relative to the local signal scale: signals like
-    # the excited population decay over many decades and their late
-    # oscillations must not be flattened by an absolute cutoff.
-    local = np.maximum(np.abs(v[:-1]), np.abs(v[1:]))
-    s = np.where(np.abs(d) < constants.PLATEAU_TOL * np.maximum(local, 1e-300), 0, np.sign(d)).astype(np.int8)
+    s = np.empty(v.size - 1, dtype=np.int8)
+    for lo in range(0, s.size, _SIGN_BLOCK):
+        w = v[lo:lo + _SIGN_BLOCK + 1]
+        d = np.diff(w)
+        # Plateau threshold is relative to the local signal scale: signals like
+        # the excited population decay over many decades and their late
+        # oscillations must not be flattened by an absolute cutoff.
+        local = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
+        s[lo:lo + d.size] = np.where(np.abs(d) < constants.PLATEAU_TOL * np.maximum(local, 1e-300), 0, np.sign(d))
     nz = np.flatnonzero(s)
     if nz.size < 2:
         return []

@@ -165,7 +165,8 @@ def kappa(model: Lorentzian) -> float:
 class _SampleGrid:
     """Values at t = n*dt, n = 0 .. len(values)-1: a nonempty, finite, read-only 1-d array of `_dtype`.
 
-    Each subclass adds its own checks in `_check`.
+    A `_dtype` of None stores real values as float and any others as
+    complex. Each subclass adds its own checks in `_check`.
     """
 
     dt: float
@@ -177,6 +178,8 @@ class _SampleGrid:
         if not (self.dt > 0 and np.isfinite(self.dt)):
             raise PhysicalityError(f"dt must be positive, got {self.dt}")
         v = np.asarray(self.values, dtype=self._dtype)
+        if self._dtype is None:
+            v = v.astype(complex if np.iscomplexobj(v) else float, copy=False)
         if v.ndim != 1 or v.size < 1:
             raise PhysicalityError("values must be a nonempty 1-d array")
         if not np.isfinite(v).all():

@@ -103,6 +103,41 @@ def oscillatory_closed_form(gamma0, width, t):
     return np.where(t == 0.0, 1.0, out)
 
 
+def reference_closed_form(gamma0, width, t):
+    """`lorentzian_closed_form` as whole-array expressions with a temporary per step: its bit oracle."""
+    k = kappa(Lorentzian(gamma0=gamma0, width=width))
+    tt = np.asarray(t, dtype=float)
+    if gamma0 > 0.5 * width and k > 0.0:
+        out = np.exp(-0.5 * width * tt) * (
+            np.cos(0.5 * k * tt) + (width / k) * np.sin(0.5 * k * tt)
+        )
+    else:
+        with np.errstate(over="ignore"):
+            kt = k * tt
+        decay = -np.expm1(-kt) / k if k > 0.0 else tt
+        out = np.exp(-(gamma0 * width / (width + k)) * tt) * (
+            0.5 * (1.0 + np.exp(-kt)) + 0.5 * width * decay
+        )
+    out = np.where(tt == 0.0, 1.0, out)
+    return out if out.ndim else float(out)
+
+
+def reference_detuned_closed_form(model, t):
+    """`_detuned_closed_form` as whole-array expressions with a temporary per step: its bit oracle."""
+    s1, d = _poles(model)
+    tt = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        decay = -np.expm1(-d * tt) / d if d != 0.0 else tt
+        out = np.exp(s1 * tt) * (1.0 - s1 * decay)
+    return np.where(tt == 0.0, 1.0, out)
+
+
+def bits(x):
+    """The bytes of a float or an array with its dtype and shape, so that -0.0 differs from 0.0."""
+    x = np.asarray(x)
+    return x.dtype.str, x.shape, x.tobytes()
+
+
 # Around the critical width 2 on both sides, then Markovian out to where
 # width - kappa cancels to zero in floating point.
 ORACLE_WIDTHS = [2 * (1 - 1e-10), 2.0, 2 * (1 + 1e-10), 2 * (1 + 2e-9), 3.0, 10.0,
@@ -183,6 +218,39 @@ class TestClosedForm:
     def test_markovian_no_overflow(self):
         b = lorentzian_closed_form(1.0, 10.0, 500.0)
         assert np.isfinite(b) and 0 <= b < 1e-10
+
+
+class TestClosedFormBits:
+    """The closed forms, written into one output array, against the whole-array expressions."""
+
+    GRID = 1e-3 * np.arange(400001)  # t = 0 to 400, the default width-0.1 horizon
+    # Out of order, with repeated zeros, and a time where kappa t overflows at width 1e16.
+    MIXED = np.array([3.5, 0.0, 1e-300, 17.25, 0.0, 1e300, 2.0, 1e-3])
+
+    @pytest.mark.parametrize("width", [0.1, 2.0, 5.0, 1e16], ids=["oscillatory", "critical", "monotone", "wide"])
+    def test_array_t(self, width):
+        for t in (self.GRID, self.MIXED, self.MIXED.reshape(2, 4)):
+            assert bits(lorentzian_closed_form(1.0, width, t)) == bits(reference_closed_form(1.0, width, t))
+
+    @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 12.5, 400.0, np.float64(3.0), np.array(0.0)])
+    @pytest.mark.parametrize("width", [0.1, 2.0, 5.0], ids=["oscillatory", "critical", "monotone"])
+    def test_scalar_t(self, width, t):
+        got = lorentzian_closed_form(1.0, width, t)
+        assert type(got) is float
+        assert bits(got) == bits(reference_closed_form(1.0, width, t))
+
+    @pytest.mark.parametrize("detuning", [0.3, 1.0])
+    @pytest.mark.parametrize("width", [0.1, 1.0])
+    def test_detuned(self, width, detuning):
+        model = Lorentzian(1.0, width, detuning)
+        for t in (self.GRID, self.MIXED[self.MIXED < 1e300]):
+            assert bits(_detuned_closed_form(model, t)) == bits(reference_detuned_closed_form(model, t))
+
+    def test_detuned_at_equal_poles(self):
+        # d = 0 only at zero detuning and the critical width, where (1 - e^{-d t})/d is t.
+        model = Lorentzian(1.0, 2.0, 0.0)
+        assert _poles(model)[1] == 0.0
+        assert bits(_detuned_closed_form(model, self.GRID)) == bits(reference_detuned_closed_form(model, self.GRID))
 
 
 class TestMinTimes:
@@ -432,6 +500,37 @@ class TestDetunedClosedForm:
         assert at == pytest.approx(constants.ENVELOPE_CUTOFF / 2, rel=1e-9)
 
 
+class TestTrajectoryDtype:
+    @pytest.mark.parametrize("method", [Method.CLOSED_FORM, Method.VOLTERRA])
+    @pytest.mark.parametrize("width", [0.5, 2.0, 5.0])
+    def test_resonant_is_float64(self, method, width):
+        cfg = SolverConfig(dt=1e-2, t_max=10.0, method=method)
+        assert compute_trajectory(Lorentzian(1.0, width), cfg).values.dtype == np.float64
+
+    @pytest.mark.parametrize("method", [Method.CLOSED_FORM, Method.VOLTERRA])
+    def test_detuned_is_complex128(self, method):
+        cfg = SolverConfig(dt=1e-2, t_max=10.0, method=method)
+        assert compute_trajectory(Lorentzian(1.0, 0.5, 0.3), cfg).values.dtype == np.complex128
+
+    @pytest.mark.parametrize("model", [OhmicFamily(coupling=0.1, exponent=1.0, cutoff=1.0, qubit_frequency=1.0),
+                                       _gaussian_table()], ids=["ohmic", "tabulated"])
+    def test_general_spectrum_is_complex128(self, model):
+        cfg = SolverConfig(dt=1e-2, t_max=10.0, method=Method.VOLTERRA)
+        assert compute_trajectory(model, cfg).values.dtype == np.complex128
+
+    @pytest.mark.parametrize("values, dtype", [
+        ([1.0, 0.5], np.float64), ([1, 0], np.float64), (np.array([1.0, 0.5], np.float32), np.float64),
+        ([1.0, 0.5j], np.complex128), (np.array([1.0, 0.5], complex), np.complex128),
+    ])
+    def test_real_values_stay_real(self, values, dtype):
+        assert AmplitudeTrajectory(dt=0.1, values=values).values.dtype == dtype
+
+    def test_float_values_stored_without_a_copy(self):
+        values = np.array([1.0, 0.5, 0.25])
+        traj = AmplitudeTrajectory(dt=0.1, values=values)
+        assert traj.values is values and not values.flags.writeable
+
+
 class TestComputeTrajectory:
     def test_closed_form_requires_lorentzian(self):
         cfg = SolverConfig(dt=0.01, t_max=1.0, method=Method.CLOSED_FORM)
@@ -444,6 +543,15 @@ class TestComputeTrajectory:
         cfg = SolverConfig(dt=0.01, t_max=1.0, method=Method.CLOSED_FORM)
         traj = compute_trajectory(Lorentzian(1.0, 0.1), cfg)
         assert traj.lorentzian == Lorentzian(1.0, 0.1)
+
+    def test_resonant_volterra_checked_once(self, monkeypatch):
+        calls = []
+        check = AmplitudeTrajectory._check
+        monkeypatch.setattr(AmplitudeTrajectory, "_check", lambda traj, v: calls.append(v.size) or check(traj, v))
+        cfg = SolverConfig(dt=1e-2, t_max=10.0, method=Method.VOLTERRA)
+        traj = compute_trajectory(Lorentzian(1.0, 0.5), cfg)
+        assert calls == [1001]
+        assert traj.lorentzian == Lorentzian(1.0, 0.5)
 
     def test_volterra_detuned_lorentzian_runs(self):
         cfg = SolverConfig(dt=5e-3, t_max=10.0, method=Method.VOLTERRA)

@@ -5,6 +5,7 @@ import pytest
 
 from nonmarkov.amplitude import AmplitudeTrajectory
 from nonmarkov.dynamics import (
+    _population,
     QubitInitialState,
     ScalarTrajectory,
     StatePair,
@@ -155,6 +156,21 @@ class TestTrajectories:
     def test_population(self):
         pop = population_excited(self._traj())
         assert np.allclose(pop.values, np.abs(self._traj().values) ** 2, atol=0)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_population_matches_whole_array_expression(self, dtype):
+        # |b|^2 squared and clipped in place, against np.minimum(x * x, 1.0), bit for bit.
+        rng = np.random.default_rng(24)
+        b = rng.uniform(-1.0, 1.0, 100001)
+        if dtype is complex:
+            b = b * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, b.size))
+        b[:4] = (1.0, 1.0 + 9e-9, -(1.0 + 5e-9), -0.0)  # clipped at 1 within the slack; a signed zero
+        kept = b.copy()
+        x = np.abs(b)
+        want = np.minimum(x * x, 1.0)
+        got = _population(b)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert b.tobytes() == kept.tobytes()
 
     def test_population_of_first_maximum(self):
         assert FIRST_MAX_AMPLITUDE**2 == pytest.approx(0.2365817, abs=1e-6)

@@ -272,6 +272,42 @@ class TestFindExtremaMatchesReference:
     def test_edge_cases(self, values):
         assert_same_extrema(np.array(values))
 
+    @pytest.mark.parametrize("feature", [(0.1, 0.95, 0.3), (0.1, 0.97, 0.97, 0.97, 0.3)],
+                             ids=["sign_change", "plateau"])
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 2**16 + 2, 3 * 2**16 + 1])
+    def test_sign_blocks(self, n, feature):
+        # The signs are filled 2^16 differences at a time, difference k
+        # joining samples k and k + 1. On a slow cosine, centre a maximum on
+        # sample B of each block boundary B = j 2^16 inside the signal and on
+        # the last sample that leaves room for it: a peak, whose two
+        # differences lie in different blocks, or a plateau whose zero
+        # differences run across the boundary. Each follows a minimum, so
+        # each is a reported interval.
+        v = 0.5 + 0.3 * np.cos(2.0 * np.pi * np.arange(n) / 5000.0)
+        half = len(feature) // 2
+        for b in (*range(2**16, n - 1 - half, 2**16), n - 1 - half):
+            v[b - half:b + half + 1] = feature
+        sig = ScalarTrajectory(dt=0.01, values=v)
+        # First, so that its sign array cannot reuse the reference's freed one.
+        got = interval_bits(find_extrema(sig))
+        assert got == interval_bits(reference_find_extrema(sig))
+        assert len(got) >= n // 5000
+
+    def test_memory_per_sample(self):
+        # The int8 signs, the indices of the nonzero ones and a block's float
+        # temporaries: at most 16 bytes a sample beyond the signal, at 2^20 samples.
+        traj = lorentzian_trajectory(0.1, dt=2**-10, t_max=2**10 - 2**-10)
+        sig = population_excited(traj)
+        assert sig.values.size == 2**20
+        tracemalloc.start()
+        try:
+            intervals = find_extrema(sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(intervals) > 50
+        assert peak <= 16 * sig.values.size, f"peak {peak / sig.values.size:.1f} bytes per sample"
+
     def test_volterra_noise_tail(self):
         # Past t ~ 55 an 80k-step solve's |b| is rounding noise at |b|^2 ~ 1e-24,
         # with thousands of sign changes; a 60k-step noise tail holds fewer than 1000.
