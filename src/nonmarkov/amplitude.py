@@ -24,8 +24,9 @@ resonant Lorentzian): O(N log N) in the step count, with no loop over steps.
 b(0) = 1, at least two samples and |b| <= 1 + AMPLITUDE_BOUND_SLACK. A
 real b stays float64, as the resonant closed form and the real-transform
 Volterra solve give it, at half the bytes of a complex one; a detuned or
-general-spectrum b is complex128. The closed forms write b into one
-output array with at most one temporary of its size.
+general-spectrum b is complex128. The public closed forms write b into
+one output array beside one temporary of its size; `compute_trajectory`
+writes them into b block by block, with temporaries of one block.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 from . import constants
 from .errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
 from .reservoir import (CorrelationSamples, Lorentzian, Regime, SpectralModel, _check_phase,
-                        _SampleGrid, classify_regime, correlation, kappa)
+                        _max_abs, _SampleGrid, classify_regime, correlation, kappa)
 
 log = logging.getLogger(__name__)
 
@@ -75,7 +76,9 @@ class AmplitudeTrajectory(_SampleGrid):
     Real values stay float64 and any others are stored as complex128.
     `lorentzian` carries the generating model when it is a resonant
     Lorentzian; the measure module uses it for envelope-based truncation
-    bounds. It is None for detuned Lorentzians and general spectra.
+    bounds. It is None for detuned Lorentzians and general spectra. The
+    check of max|b| (`reservoir._max_abs`) makes no array of b's length;
+    the finiteness check makes one of a byte a sample.
     """
 
     lorentzian: Lorentzian | None = None
@@ -87,7 +90,7 @@ class AmplitudeTrajectory(_SampleGrid):
             raise PhysicalityError("trajectory needs at least two samples")
         if v[0] != 1.0:
             raise PhysicalityError(f"b(0) must be exactly 1, got {v[0]}")
-        peak = float(np.max(np.abs(v)))
+        peak = _max_abs(v)
         if peak > 1.0 + constants.AMPLITUDE_BOUND_SLACK:
             raise PhysicalityError(f"|b| reaches {peak!r}, beyond 1 + slack")
 
@@ -120,7 +123,13 @@ def lorentzian_closed_form(gamma0: float, width: float, t):
     if np.any(tt < 0):
         raise PhysicalityError("t must be nonnegative")
     out = np.empty(tt.shape)
-    tmp = np.empty(tt.shape)
+    _resonant_into(gamma0, width, k, tt, out, np.empty(tt.shape))
+    return out if out.ndim else float(out)
+
+
+def _resonant_into(gamma0: float, width: float, k: float, tt: np.ndarray, out: np.ndarray,
+                   tmp: np.ndarray) -> None:
+    """`lorentzian_closed_form` at times tt >= 0, written into out; tmp, of tt's shape, is overwritten."""
     if _oscillates(gamma0, width, k):
         np.multiply(0.5 * k, tt, out=tmp)
         np.sin(tmp, out=out)
@@ -144,9 +153,7 @@ def lorentzian_closed_form(gamma0: float, width: float, t):
         out += tmp
         np.multiply(-(gamma0 * width / (width + k)), tt, out=tmp)
     out *= np.exp(tmp, out=tmp)
-    del tmp
     out[tt == 0.0] = 1.0  # initial condition exact by definition
-    return out if out.ndim else float(out)
 
 
 def _poles(model: Lorentzian) -> tuple[complex, complex]:
@@ -182,9 +189,19 @@ def _detuned_closed_form(model: Lorentzian, t) -> np.ndarray:
     operands they give it, so the bits are those of evaluating them one
     whole array at a time.
     """
-    s1, d = _poles(model)
     tt = np.asarray(t, dtype=float)
     out = np.empty(tt.shape, dtype=complex)
+    _detuned_into(model, *_poles(model), tt, out, np.empty(tt.shape, dtype=complex), tt)
+    return out
+
+
+def _detuned_into(model: Lorentzian, s1: complex, d: complex, tt: np.ndarray, out: np.ndarray,
+                  tmp: np.ndarray, t_end) -> None:
+    """`_detuned_closed_form` at times tt, from the poles (s1, d), written into out.
+
+    tmp, complex and of tt's shape, is overwritten. t_end is the grid's last
+    time (or the times), named when the phase overflows.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase d t is rejected below
         if d != 0.0:
             np.multiply(-d, tt, out=out)
@@ -194,12 +211,10 @@ def _detuned_closed_form(model: Lorentzian, t) -> np.ndarray:
             out[...] = tt
         np.multiply(s1, out, out=out)
         np.subtract(1.0, out, out=out)
-        tmp = np.multiply(s1, tt)
+        np.multiply(s1, tt, out=tmp)
         np.multiply(np.exp(tmp, out=tmp), out, out=out)
-    del tmp
-    _check_phase(model, out, tt)
+    _check_phase(model, out, t_end)
     out[tt == 0.0] = 1.0
-    return out
 
 
 def lorentzian_min_times(gamma0: float, width: float, n_max: int) -> np.ndarray:
@@ -410,11 +425,46 @@ def _fft_length(n: int) -> int:
     return best
 
 
+# compute_trajectory writes a closed-form b this many samples at a time, so
+# its times and temporaries do not grow with the step count.
+_CLOSED_FORM_BLOCK = 1 << 14
+
+
+def _closed_form_blocks(model: Lorentzian, dt: float, n: int) -> np.ndarray:
+    """The Lorentzian closed form at t = dt*k, k = 0 .. n, written block by block into one array.
+
+    Block [lo, hi) takes its times from dt * arange(lo, hi), the elements of
+    dt * arange(n + 1), and the elementwise operations of the whole-array
+    closed form, so b has the bits of `lorentzian_closed_form` (float64) or
+    `_detuned_closed_form` (complex128) on the whole grid. Beside b, the
+    times and one temporary exist at one block's length, at most
+    `_CLOSED_FORM_BLOCK` + 1 samples; no block has fewer than two.
+    """
+    if model.detuning == 0.0:
+        out = np.empty(n + 1)
+        k = kappa(model)
+        write = lambda tt, blk, tmp: _resonant_into(model.gamma0, model.width, k, tt, blk, tmp)
+    else:
+        out = np.empty(n + 1, dtype=complex)
+        s1, d = _poles(model)
+        write = lambda tt, blk, tmp: _detuned_into(model, s1, d, tt, blk, tmp, dt * n)
+    tmp = np.empty(min(n + 1, _CLOSED_FORM_BLOCK + 1), dtype=out.dtype)
+    for lo in range(0, n, _CLOSED_FORM_BLOCK):
+        # The last block takes the last sample: numpy multiplies a lone complex
+        # sample in place by another path than an array's, whose bits differ.
+        hi = n + 1 if lo + _CLOSED_FORM_BLOCK >= n else lo + _CLOSED_FORM_BLOCK
+        write(dt * np.arange(lo, hi), out[lo:hi], tmp[:hi - lo])
+    return out
+
+
 def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTrajectory:
     """Produce b(t) for a spectral model using the configured method.
 
     The trajectory carries the model as `lorentzian` when it is a resonant
-    Lorentzian, by either method.
+    Lorentzian, by either method. A closed form is written into b in blocks
+    of `_CLOSED_FORM_BLOCK` samples, so beyond b's 8 (real) or 16 (complex)
+    bytes a step its temporaries have a fixed size; the checks of
+    `AmplitudeTrajectory` add one byte a step while they run.
     """
     n = cfg.steps
     resonant = isinstance(model, Lorentzian) and model.detuning == 0.0
@@ -424,11 +474,8 @@ def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTraj
                 "the closed-form path covers the Lorentzian only; "
                 "use the Volterra method for this model"
             )
-        t = cfg.dt * np.arange(n + 1)
-        if not resonant:
-            return AmplitudeTrajectory(dt=cfg.dt, values=_detuned_closed_form(model, t))
-        values = lorentzian_closed_form(model.gamma0, model.width, t)
-        return AmplitudeTrajectory(dt=cfg.dt, values=values, lorentzian=model)
+        return AmplitudeTrajectory(dt=cfg.dt, values=_closed_form_blocks(model, cfg.dt, n),
+                                   lorentzian=model if resonant else None)
     f = correlation(model, cfg.dt, n + 1)
     traj = solve_volterra(f, cfg)
     if resonant:

@@ -431,8 +431,8 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
 
 
 def _measure_bundle(cfg: RunConfig) -> dict:
-    traj = cfg.trajectory()
-    n_single, n_eg, n_two = _population_measures(population_excited(traj))
+    # No name holds b, so it is freed before the extremum search of P.
+    n_single, n_eg, n_two = _population_measures(population_excited(cfg.trajectory()))
     # The reports carry regime and kappa only for a resonant Lorentzian.
     single = n_single.to_dict()
     return {

@@ -19,7 +19,8 @@ AMPLITUDE_INSTABILITY_SLACK = 1e-6  # solver aborts past 1 + this
 
 # Largest step count round(t_max/dt) the CLI runs: a 2 GiB budget at 256
 # bytes per step (a Volterra `measure` at 2^17 steps peaks at 147 bytes per
-# step on an Ohmic spectrum, 84 on a resonant Lorentzian).
+# step on an Ohmic spectrum, 80 on a resonant Lorentzian; a closed-form one
+# at 17).
 MAX_STEPS = 2**31 // 256
 
 # Lorentzian regime boundaries

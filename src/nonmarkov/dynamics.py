@@ -146,12 +146,13 @@ def evolve_single(state: QubitInitialState, b: complex) -> DensityMatrix:
     return DensityMatrix(_evolved(state, b))
 
 
-def _distance_over_b(x, a2, b2):
+def _distance_over_b(x, a2, b2, out=None):
     """sqrt(x^2 a2 + b2), a pair's trace distance over |b| = x.
 
     a2 = (alpha-mu)^2 and b2 = |beta-nu|^2; `measure` scores pairs with it.
+    An `out` array (a2 itself, say) receives the result, with the same bits.
     """
-    return np.sqrt(x * x * a2 + b2)
+    return np.sqrt(np.add(np.multiply(x * x, a2, out=out), b2, out=out), out=out)
 
 
 def trace_distance_single(pair: StatePair, b: complex | np.ndarray) -> float | np.ndarray:

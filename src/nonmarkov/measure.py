@@ -27,7 +27,7 @@ from .dynamics import (
     trace_distance_two,
 )
 from .errors import HorizonError, PhysicalityError
-from .reservoir import Lorentzian, Regime, classify_regime, kappa
+from .reservoir import Lorentzian, Regime, _max_abs, classify_regime, kappa
 
 log = logging.getLogger(__name__)
 
@@ -42,9 +42,9 @@ class ExtremumInterval:
     value_at_max: float
 
 
-# find_extrema fills its sign array this many differences at a time, so its
-# float temporaries do not grow with the signal.
-_SIGN_BLOCK = 1 << 16
+# find_extrema takes the signs of this many differences at a time, so its
+# temporaries do not grow with the signal.
+_SIGN_BLOCK = 1 << 14
 
 
 def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
@@ -55,31 +55,43 @@ def find_extrema(sig: ScalarTrajectory) -> list[ExtremumInterval]:
     cusp-aware two-line fit and keep whichever lies lower, then clip at 0).
     Plateau runs (|difference| < plateau tolerance) are merged and reported
     at their leftmost sample. Intervals that do not rise are dropped. A
-    monotone signal yields an empty list. The int8 signs of the differences
-    are filled in blocks of `_SIGN_BLOCK` differences, so the float
-    temporaries do not grow with the signal; every later step is one array
-    operation over all sign changes.
+    monotone signal yields an empty list. The signs are taken in blocks of
+    `_SIGN_BLOCK` differences, and each block keeps only its sign changes:
+    the last nonzero sign before it, and that sign's index, carry over from
+    the blocks before. So the temporaries are those of one block beside the
+    extrema; every later step is one array operation over all sign changes.
     """
     v = sig.values
     if v.size < 3:
         raise PhysicalityError("extremum detection needs at least 3 samples")
-    s = np.empty(v.size - 1, dtype=np.int8)
-    for lo in range(0, s.size, _SIGN_BLOCK):
+    carry = None  # the index and sign of the last nonzero sign so far, as length-1 arrays
+    found = []
+    for lo in range(0, v.size - 1, _SIGN_BLOCK):
         w = v[lo:lo + _SIGN_BLOCK + 1]
         d = np.diff(w)
         # Plateau threshold is relative to the local signal scale: signals like
         # the excited population decay over many decades and their late
         # oscillations must not be flattened by an absolute cutoff.
-        local = np.maximum(np.abs(w[:-1]), np.abs(w[1:]))
-        s[lo:lo + d.size] = np.where(np.abs(d) < constants.PLATEAU_TOL * np.maximum(local, 1e-300), 0, np.sign(d))
-    nz = np.flatnonzero(s)
-    if nz.size < 2:
+        local = np.abs(w)
+        local = np.maximum(local[:-1], local[1:])
+        np.maximum(local, 1e-300, out=local)
+        local *= constants.PLATEAU_TOL
+        s = np.sign(d).astype(np.int8)
+        s[np.abs(d, out=d) < local] = 0
+        k = np.flatnonzero(s)
+        if k.size == 0:
+            continue
+        nz, sgn = k + lo, s[k]
+        if carry is not None:
+            nz, sgn = np.concatenate((carry[0], nz)), np.concatenate((carry[1], sgn))
+        changes = np.flatnonzero(sgn[:-1] != sgn[1:])
+        found.append((nz[changes] + 1, nz[changes + 1], sgn[changes]))
+        carry = nz[-1:], sgn[-1:]
+    if not found:
         return []
-    sgn = s[nz]
-    changes = np.flatnonzero(sgn[:-1] != sgn[1:])
-    m = nz[changes] + 1  # leftmost sample of each extremum's plateau
-    plateau = nz[changes + 1] - m > 0
-    is_min = sgn[changes] < 0
+    m, after, sgn = (np.concatenate(parts) for parts in zip(*found))
+    plateau = after - m > 0  # m is the leftmost sample of each extremum's plateau
+    is_min = sgn < 0
     offset, value = _parabolic_vertices(v[m - 1], v[m], v[m + 1])
     cusp_offset, cusp_value, cusp = _v_vertices(v, m)
     cusp &= is_min & (cusp_value < value)
@@ -340,7 +352,7 @@ class TheoremVerification:
 
 # verify_theorem scans its pairs this many at a time, so its memory does not
 # grow with the sample count.
-_VERIFY_BLOCK = 1 << 16
+_VERIFY_BLOCK = 1 << 14
 
 
 def _draws(samples: int, seed: int, i: int, start: int, stop: int) -> np.ndarray:
@@ -359,21 +371,36 @@ def _draws(samples: int, seed: int, i: int, start: int, stop: int) -> np.ndarray
     return np.random.Generator(bits).random(stop - start)
 
 
+def _radius(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The coherence radius sqrt(p (1 - p)) sqrt(u) of populations p and radial draws u, in u."""
+    np.sqrt(u, out=u)
+    r = np.subtract(1.0, p)
+    r *= p
+    u *= np.sqrt(r, out=r)
+    return u
+
+
 def _radii(samples: int, seed: int, start: int, stop: int):
     """(alpha, |beta|, mu, |nu|) of pairs start .. stop-1."""
     alpha = _draws(samples, seed, 0, start, stop)
+    r1 = _radius(alpha, _draws(samples, seed, 2, start, stop))
     mu = _draws(samples, seed, 1, start, stop)
-    r1 = np.sqrt(alpha * (1.0 - alpha)) * np.sqrt(_draws(samples, seed, 2, start, stop))
-    r2 = np.sqrt(mu * (1.0 - mu)) * np.sqrt(_draws(samples, seed, 4, start, stop))
+    r2 = _radius(mu, _draws(samples, seed, 4, start, stop))
     return alpha, r1, mu, r2
+
+
+def _angles(samples: int, seed: int, i: int, start: int, stop: int) -> np.ndarray:
+    """The phases 2 pi u of uniform array i (3 for beta, 5 for nu), pairs start .. stop-1."""
+    theta = _draws(samples, seed, i, start, stop)
+    theta *= 2.0 * np.pi
+    return theta
 
 
 def _state_pair_block(samples: int, seed: int, start: int, stop: int):
     """Pairs start .. stop-1 of `sample_state_pairs(samples, seed)`."""
     alpha, r1, mu, r2 = _radii(samples, seed, start, stop)
-    th1 = _draws(samples, seed, 3, start, stop) * (2.0 * np.pi)
-    th2 = _draws(samples, seed, 5, start, stop) * (2.0 * np.pi)
-    return alpha, r1 * np.exp(1j * th1), mu, r2 * np.exp(1j * th2)
+    return (alpha, r1 * np.exp(1j * _angles(samples, seed, 3, start, stop)),
+            mu, r2 * np.exp(1j * _angles(samples, seed, 5, start, stop)))
 
 
 def sample_state_pairs(samples: int, seed: int):
@@ -386,14 +413,46 @@ def sample_state_pairs(samples: int, seed: int):
     return _state_pair_block(samples, seed, 0, samples)
 
 
+def _candidates(samples: int, seed: int, start: int, stop: int, x: float, max_ratio: float,
+                line: float, tol: float):
+    """The floor of block start .. stop-1 of `verify_theorem`'s scan, and the pairs at or above it.
+
+    The pairs come as (alpha, beta, mu, nu, ratio) arrays, or None when
+    there are none. When no bound reaches min(max_ratio, line) - tol, which
+    the floor is at least, the angles are not drawn and that value is the
+    floor. Every array of the block's length dies on return.
+    """
+    alpha, r1, mu, r2 = _radii(samples, seed, start, stop)
+    a2 = alpha - mu
+    a2 *= a2
+    b2 = r1 + r2
+    b2 *= b2
+    bound = _distance_over_b(x, a2, b2, out=a2)  # U, in a2's array
+    del a2, b2
+    floor = min(max_ratio, line) - tol
+    if bound.max() < floor:
+        return floor, None
+    th1, th2 = _angles(samples, seed, 3, start, stop), _angles(samples, seed, 5, start, stop)
+
+    def exact(k):
+        a, m = alpha[k], mu[k]
+        beta, nu = r1[k] * np.exp(1j * th1[k]), r2[k] * np.exp(1j * th2[k])
+        return a, beta, m, nu, _distance_over_b(x, (a - m) ** 2, np.abs(beta - nu) ** 2)
+
+    top = np.argpartition(bound, -min(16, bound.size))[-16:]  # the 16 largest bounds
+    floor = min(max(max_ratio, float(np.max(exact(top)[4]))), line) - tol
+    k = np.flatnonzero(bound >= floor)
+    return floor, exact(k) if k.size else None
+
+
 def verify_theorem(
     b_traj: AmplitudeTrajectory, samples: int, seed: int, bound_scale: float = 1.0
 ) -> TheoremVerification:
     """Check D(pair, b(t)) <= |b(t)| + slack on the whole grid for random pairs.
 
     The pairs of `sample_state_pairs(samples, seed)` are scanned in blocks
-    of fixed size; the reductions, including the first worst pair, are the
-    same as over the full arrays. `bound_scale` deliberately weakens the
+    of `_VERIFY_BLOCK`; the reductions, including the first worst pair, are
+    the same as over the full arrays. `bound_scale` deliberately weakens the
     bound (test hook for the negative control); production use keeps it at 1.
 
     D(t) - scale*|b(t)| = |b| (sqrt(|b|^2 A + B) - scale) grows with |b|
@@ -405,7 +464,9 @@ def verify_theorem(
     block computes U for all its pairs and R, with the two complex
     exponentials, only for those with U >= min(M, scale + slack/x) - tol.
     M is the largest of the running maximum of R and R of the block's 16
-    largest-U pairs, so it is a ratio some pair attains.
+    largest-U pairs, so it is a ratio some pair attains. A block with no U
+    at or above min(running maximum, scale + slack/x) - tol, which that
+    floor is at least, evaluates no pair, and its angles are not drawn.
 
     The computed R exceeds the computed U, with the same A and radii, by at
     most about 14 eps U <= 20 eps: each of the exponential, the products,
@@ -417,45 +478,34 @@ def verify_theorem(
     0 <= U, so scale > -slack, and a violation needs scale < R < 1.5; then
     the excess rounds to far finer than tol, and a left-out pair cannot tie
     the worst pair's excess either. The counts, the maxima and the first
-    worst pair are those of evaluating every pair; memory stays at one block.
+    worst pair are those of evaluating every pair. x is max|b| by
+    `reservoir._max_abs`, so no |b| of the grid's length is made; a block
+    holds at most seven float arrays of its length and one index array.
     """
     if samples < 1:
         raise PhysicalityError("need at least one sample")
     if not math.isfinite(bound_scale):
         raise PhysicalityError(f"bound_scale must be finite, got {bound_scale}")
-    x = float(np.max(np.abs(b_traj.values)))
+    x = _max_abs(b_traj.values)
     line = bound_scale + constants.THEOREM_SLACK / x
     tol = 2.0**-30
     violations = evaluated = 0
     max_ratio = worst_excess = -np.inf
     worst = None
     for start in range(0, samples, _VERIFY_BLOCK):
-        stop = min(start + _VERIFY_BLOCK, samples)
-        alpha, r1, mu, r2 = _radii(samples, seed, start, stop)
-        a2 = (alpha - mu) ** 2
-        bound = _distance_over_b(x, a2, (r1 + r2) ** 2)
-        th1 = _draws(samples, seed, 3, start, stop) * (2.0 * np.pi)
-        th2 = _draws(samples, seed, 5, start, stop) * (2.0 * np.pi)
-
-        def exact(k):
-            beta, nu = r1[k] * np.exp(1j * th1[k]), r2[k] * np.exp(1j * th2[k])
-            return beta, nu, _distance_over_b(x, a2[k], np.abs(beta - nu) ** 2)
-
-        top = np.argpartition(bound, -min(16, bound.size))[-16:]  # the 16 largest bounds
-        floor = min(max(max_ratio, float(np.max(exact(top)[2]))), line) - tol
-        k = np.flatnonzero(bound >= floor)
-        if k.size == 0:
+        floor, pairs = _candidates(samples, seed, start, min(start + _VERIFY_BLOCK, samples),
+                                   x, max_ratio, line, tol)
+        if pairs is None:
             continue
-        evaluated += k.size
-        beta, nu, ratios = exact(k)
+        alpha, beta, mu, nu, ratios = pairs
+        evaluated += ratios.size
         excess = x * (ratios - bound_scale)
         violations += int(np.sum(excess > constants.THEOREM_SLACK))
         max_ratio = max(max_ratio, float(np.max(ratios)))
         j = int(np.argmax(excess))
         if excess[j] > worst_excess:  # strict: the first worst pair wins ties
             worst_excess = float(excess[j])
-            i = k[j]
-            worst = (float(alpha[i]), complex(beta[j]), float(mu[i]), complex(nu[j]))
+            worst = (float(alpha[j]), complex(beta[j]), float(mu[j]), complex(nu[j]))
     log.debug("verify_theorem: evaluated %d of %d pairs exactly, floor %.17g",
               evaluated, samples, floor)
     worst_pair = None

@@ -161,6 +161,22 @@ def kappa(model: Lorentzian) -> float:
     return float(np.sqrt(abs(square - product)))
 
 
+# _max_abs takes a complex array's moduli this many samples at a time.
+_ABS_BLOCK = 1 << 14
+
+
+def _max_abs(v: np.ndarray) -> float:
+    """max |v| over a nonempty, finite array, with no temporary of its size.
+
+    A real array's is max(max v, -min v); a complex array's moduli are
+    taken one block of `_ABS_BLOCK` at a time. Either is the value of
+    np.max(np.abs(v)).
+    """
+    if v.dtype.kind != "c":
+        return float(max(v.max(), -v.min()))
+    return max(float(np.abs(v[lo:lo + _ABS_BLOCK]).max()) for lo in range(0, v.size, _ABS_BLOCK))
+
+
 @dataclass(frozen=True, eq=False)
 class _SampleGrid:
     """Values at t = n*dt, n = 0 .. len(values)-1: a nonempty, finite, read-only 1-d array of `_dtype`.
@@ -208,11 +224,14 @@ class CorrelationSamples(_SampleGrid):
             raise PhysicalityError("f(0) must have positive real part for nontrivial coupling")
 
 
-def _check_phase(model: Lorentzian, values: np.ndarray, t: np.ndarray) -> None:
-    """Reject Lorentzian samples at times t that are not finite: detuning * t overflowed."""
+def _check_phase(model: Lorentzian, values: np.ndarray, t) -> None:
+    """Reject Lorentzian samples that are not finite: detuning * t overflowed.
+
+    t is the samples' times, or the last time of the grid they belong to.
+    """
     if not np.isfinite(values).all():
         raise PhysicalityError(f"detuning {model.detuning:g} is too large for t up to "
-                               f"{t.max():g}: the phase overflows")
+                               f"{np.max(t):g}: the phase overflows")
 
 
 def correlation(model: SpectralModel, dt: float, n: int) -> CorrelationSamples:
@@ -351,9 +370,9 @@ def _g(y: np.ndarray) -> np.ndarray:
 def _node_sum(dt: float, n: int, x: np.ndarray, jumps: np.ndarray) -> np.ndarray:
     """sum_m d_m g(x_m t), g(y) = 1 - i y - e^{-iy}, at t = dt*k for k = 0 .. n-1.
 
-    The samples fall in blocks of _NODE_BLOCK_TIMES. In the block that starts
-    at t_a, the phase at t_a + tau_r (tau_r = dt*r) is y = u + v, u = x_m t_a,
-    v = x_m tau_r, and
+    The samples fall in blocks of _NODE_BLOCK_TIMES, or in one block of n
+    when n is smaller. In the block that starts at t_a, the phase at
+    t_a + tau_r (tau_r = dt*r) is y = u + v, u = x_m t_a, v = x_m tau_r, and
         g(u + v) = g(u) - i v (1 - e^{-iu}) + e^{-iu} g(v),
         1 - e^{-iu} = 2 sin^2(u/2) + i sin u.
     So a block takes the two dot products sum d_m g(u_m) and
@@ -361,11 +380,12 @@ def _node_sum(dt: float, n: int, x: np.ndarray, jumps: np.ndarray) -> np.ndarray
     d_m e^{-iu_m} with the table g(x_m tau_r), which is built once per node.
     No part cancels by itself, and at small phases the three add with the
     same sign. The trig work is (n/_NODE_BLOCK_TIMES + _NODE_BLOCK_TIMES)
-    per node.
+    per node, and n + 1 at smaller n.
     """
-    tau = dt * np.arange(_NODE_BLOCK_TIMES)
-    starts = dt * np.arange(0, n, _NODE_BLOCK_TIMES)
-    total = np.zeros((starts.size, _NODE_BLOCK_TIMES), dtype=complex)
+    width = min(n, _NODE_BLOCK_TIMES)  # fewer samples than a block need no more table
+    tau = dt * np.arange(width)
+    starts = dt * np.arange(0, n, width)
+    total = np.zeros((starts.size, width), dtype=complex)
     for c in range(0, x.size, _NODE_BLOCK_NODES):
         xc = x[c:c + _NODE_BLOCK_NODES]
         dc = jumps[c:c + _NODE_BLOCK_NODES]

@@ -2,12 +2,13 @@
 
 import logging
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
-from nonmarkov import constants
+from nonmarkov import amplitude, constants
 from nonmarkov.amplitude import (
     AmplitudeTrajectory,
     Method,
@@ -24,10 +25,12 @@ from nonmarkov.amplitude import (
 )
 from nonmarkov.errors import NoZerosError, NumericalFailureError, PhysicalityError, UnsupportedModelError
 from nonmarkov.reservoir import (
+    _ABS_BLOCK,
     CorrelationSamples,
     Lorentzian,
     OhmicFamily,
     Tabulated,
+    _max_abs,
     correlation,
     kappa,
 )
@@ -251,6 +254,69 @@ class TestClosedFormBits:
         model = Lorentzian(1.0, 2.0, 0.0)
         assert _poles(model)[1] == 0.0
         assert bits(_detuned_closed_form(model, self.GRID)) == bits(reference_detuned_closed_form(model, self.GRID))
+
+
+class TestBlockedTrajectory:
+    """compute_trajectory writes a closed form block by block: the bits of the whole grid at once."""
+
+    B = amplitude._CLOSED_FORM_BLOCK
+    MODELS = {"oscillatory": Lorentzian(1.0, 0.1), "critical": Lorentzian(1.0, 2.0),
+              "monotone": Lorentzian(1.0, 5.0), "detuned_0.3": Lorentzian(1.0, 0.1, 0.3),
+              "detuned_1": Lorentzian(1.0, 1.0, 1.0)}
+
+    @pytest.mark.parametrize("samples", [11, B - 1, B, B + 1, B + 2, 3 * B - 1, 3 * B, 3 * B + 1])
+    @pytest.mark.parametrize("name", MODELS)
+    def test_matches_whole_grid(self, name, samples):
+        # At 3B + 1 samples the last block takes B + 1: a lone last sample
+        # of a complex b would round differently in numpy's in-place product.
+        model, dt = self.MODELS[name], 1e-3
+        traj = compute_trajectory(model, SolverConfig(dt=dt, t_max=(samples - 1) * dt))
+        t = dt * np.arange(samples)
+        if model.detuning == 0.0:
+            want = lorentzian_closed_form(model.gamma0, model.width, t)
+            assert bits(want) == bits(reference_closed_form(model.gamma0, model.width, t))
+        else:
+            want = _detuned_closed_form(model, t)
+            assert bits(want) == bits(reference_detuned_closed_form(model, t))
+        assert bits(traj.values) == bits(want)
+
+    def test_phase_overflow_names_the_last_time(self):
+        # Every block overflows; the message names the grid's end, not a block's.
+        cfg = SolverConfig(dt=1e-3, t_max=3 * self.B * 1e-3)
+        with pytest.raises(PhysicalityError, match=f"too large for t up to {cfg.steps * 1e-3:g}: "):
+            compute_trajectory(Lorentzian(1.0, 0.1, 1e308), cfg)
+
+    def test_checks_make_no_float_temporary(self):
+        # Finiteness takes one byte a sample; max|b| takes none (real b) or
+        # one block of moduli (complex b).
+        for dtype in (float, complex):
+            v = np.full(2**20, -0.5, dtype=dtype)
+            v[0] = 1.0
+            tracemalloc.start()
+            try:
+                AmplitudeTrajectory(dt=0.1, values=v)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * v.size, f"{dtype.__name__}: {peak / v.size:.2f} bytes per sample"
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("size", [1, 2, _ABS_BLOCK - 1, _ABS_BLOCK, _ABS_BLOCK + 1, 3 * _ABS_BLOCK + 2])
+    def test_matches_whole_array(self, size):
+        rng = np.random.default_rng(size)
+        real = rng.normal(size=size)
+        for v in (real, -np.abs(real), np.abs(real), real + 1j * rng.normal(size=size)):
+            for at in {0, size // 2, size - 1}:  # the largest modulus in each block in turn
+                w = v.copy()
+                w[at] *= 10.0
+                assert bits(_max_abs(w)) == bits(float(np.max(np.abs(w))))
+
+    def test_rejection_message_unchanged(self):
+        values = np.full(3 * _ABS_BLOCK, 0.5 + 0.0j)
+        values[0], values[-1] = 1.0, 1.0 + 0.5j
+        with pytest.raises(PhysicalityError, match=re.escape(f"|b| reaches {abs(1.0 + 0.5j)!r}, beyond")):
+            AmplitudeTrajectory(dt=0.1, values=values)
 
 
 class TestMinTimes:

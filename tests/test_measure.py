@@ -272,30 +272,77 @@ class TestFindExtremaMatchesReference:
     def test_edge_cases(self, values):
         assert_same_extrema(np.array(values))
 
+    B = measure._SIGN_BLOCK
+
     @pytest.mark.parametrize("feature", [(0.1, 0.95, 0.3), (0.1, 0.97, 0.97, 0.97, 0.3)],
                              ids=["sign_change", "plateau"])
-    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 2**16 + 2, 3 * 2**16 + 1])
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, B + 2, 3 * B + 1,
+                                   4 * B - 1, 4 * B, 4 * B + 1, 4 * B + 2, 12 * B + 1])
     def test_sign_blocks(self, n, feature):
-        # The signs are filled 2^16 differences at a time, difference k
-        # joining samples k and k + 1. On a slow cosine, centre a maximum on
-        # sample B of each block boundary B = j 2^16 inside the signal and on
+        # The signs are taken _SIGN_BLOCK = B differences at a time,
+        # difference k joining samples k and k + 1. On a slow cosine, centre a
+        # maximum on sample jB of each block boundary inside the signal and on
         # the last sample that leaves room for it: a peak, whose two
         # differences lie in different blocks, or a plateau whose zero
         # differences run across the boundary. Each follows a minimum, so
         # each is a reported interval.
+        B = self.B
         v = 0.5 + 0.3 * np.cos(2.0 * np.pi * np.arange(n) / 5000.0)
         half = len(feature) // 2
-        for b in (*range(2**16, n - 1 - half, 2**16), n - 1 - half):
+        for b in (*range(B, n - 1 - half, B), n - 1 - half):
             v[b - half:b + half + 1] = feature
         sig = ScalarTrajectory(dt=0.01, values=v)
-        # First, so that its sign array cannot reuse the reference's freed one.
+        # First, so that no array of it can reuse one the reference freed.
         got = interval_bits(find_extrema(sig))
         assert got == interval_bits(reference_find_extrema(sig))
         assert len(got) >= n // 5000
 
+    @staticmethod
+    def shelf(n, at, length, peak):
+        """A slow cosine around 0.5 whose phase stops for `length` samples from sample `at`.
+
+        With `peak`, the stop is on a maximum, so a plateau maximum follows
+        a minimum; without, the stop is halfway down a slope, where the
+        signs on both sides agree and no extremum lies.
+        """
+        k = np.arange(n, dtype=float)
+        u = np.where(k < at, k, np.maximum(k - length, at)) - at
+        return 0.5 + 0.3 * np.cos(2.0 * np.pi * (u if peak else u + 1250.0) / 5000.0)
+
+    @pytest.mark.parametrize("at, length, peak", [
+        (B // 2, 2 * B + 7, True),  # a plateau maximum longer than a block: one block has no sign
+        (B // 2, 2 * B + 7, False),  # a shelf across a whole block on a slope: no extremum there
+        (B - 3, 7, True),  # a plateau across the boundary
+        (B - 1, 1, True),  # a plateau of two samples, B - 1 and B
+        (2 * B, 3 * B, True),  # a plateau from the boundary through three blocks
+    ])
+    def test_sign_carry(self, at, length, peak):
+        # The last nonzero sign of one block, and its index, carry to the next.
+        n = 6 * self.B + 5
+        v = self.shelf(n, at, length, peak)
+        assert assert_same_extrema(v) >= (n - length) // 5000 - 1
+        maxima = [iv.t_max for iv in find_extrema(ScalarTrajectory(dt=0.01, values=v))]
+        assert (at * 0.01 in maxima) == peak  # the plateau maximum, at its leftmost sample
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    def test_sign_change_at_boundary(self, shift):
+        # The last difference of block 0 rises and the first of block 1
+        # falls (shift 0), or the change sits one sample either side.
+        v = self.shelf(3 * self.B, self.B + shift, 0, True)
+        assert assert_same_extrema(v) >= 3 * self.B // 5000 - 1
+
+    @pytest.mark.parametrize("step_at", [0, 5, B - 1, B, 2 * B + 3])
+    def test_single_nonzero_sign(self, step_at):
+        # One step up in a constant signal: one nonzero sign, so no extremum,
+        # wherever the step falls, also alone in a later block.
+        v = np.zeros(3 * self.B + 1)
+        v[step_at + 1:] = 1.0
+        assert assert_same_extrema(v) == 0
+        assert find_extrema(ScalarTrajectory(dt=0.01, values=v)) == []
+
     def test_memory_per_sample(self):
-        # The int8 signs, the indices of the nonzero ones and a block's float
-        # temporaries: at most 16 bytes a sample beyond the signal, at 2^20 samples.
+        # One block's temporaries and the sign changes, and no array of the
+        # signal's length: at most 2 bytes a sample beyond it, at 2^20 samples.
         traj = lorentzian_trajectory(0.1, dt=2**-10, t_max=2**10 - 2**-10)
         sig = population_excited(traj)
         assert sig.values.size == 2**20
@@ -306,7 +353,7 @@ class TestFindExtremaMatchesReference:
         finally:
             tracemalloc.stop()
         assert len(intervals) > 50
-        assert peak <= 16 * sig.values.size, f"peak {peak / sig.values.size:.1f} bytes per sample"
+        assert peak <= 2 * sig.values.size, f"peak {peak / sig.values.size:.2f} bytes per sample"
 
     def test_volterra_noise_tail(self):
         # Past t ~ 55 an 80k-step solve's |b| is rounding noise at |b|^2 ~ 1e-24,
@@ -622,10 +669,11 @@ class TestVerifyTheorem:
         assert got == reference_verify(traj, 1000, 42, bound_scale)
         assert (got.worst_pair is not None) == (bound_scale < 1.0)
 
-    @pytest.mark.parametrize("block", [7, 64, 1000, measure._VERIFY_BLOCK])
+    @pytest.mark.parametrize("block", [7, 64, 1000, measure._VERIFY_BLOCK, 1 << 16])
     @pytest.mark.parametrize("bound_scale", [1.0, 0.9, 0.5, 0.0, 1.1])
     def test_pruned_scan_matches_every_pair(self, monkeypatch, block, bound_scale):
         # The angle-free bound leaves pairs out; the report must not notice.
+        # The last two blocks each hold all 2000 pairs.
         monkeypatch.setattr(measure, "_VERIFY_BLOCK", block)
         traj = lorentzian_trajectory(0.1, t_max=60.0)
         for seed in range(20):
@@ -711,6 +759,23 @@ class TestVerifyTheorem:
         # Full arrays would take about 12 x 8 bytes per pair: 19 MB, then 77 MB.
         assert peaks[1] <= 1.1 * peaks[0]
         assert peaks[1] < 16 * 2**20
+
+    def test_peak_is_one_block(self):
+        # max|b| makes no |b| of the grid's length, and a block holds seven
+        # float arrays and one index array of _VERIFY_BLOCK pairs: the traced
+        # peak is that block's, the same at 10^5 and 10^6 pairs.
+        traj = lorentzian_trajectory(0.5)
+        verify_theorem(traj, samples=10, seed=3)  # allocations made once per process
+        peaks = []
+        for samples in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                verify_theorem(traj, samples=samples, seed=3)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.01 * peaks[0]
+        assert peaks[1] <= 72 * measure._VERIFY_BLOCK, f"{peaks[1] / measure._VERIFY_BLOCK:.1f} bytes per pair"
 
 
 def amplitude_extrema(b_traj):
@@ -808,6 +873,18 @@ def grid_scores(intervals, density):
 
 
 class TestBruteForce:
+    def test_memory_per_step(self):
+        # The benchmark's op: b and its population (8 bytes a step each)
+        # beside the search's fixed blocks, at width 0.1 (386 407 steps).
+        cfg = SolverConfig(dt=1e-3, t_max=default_horizon(1.0, 0.1))
+        tracemalloc.start()
+        try:
+            brute_force_max(compute_trajectory(Lorentzian(1.0, 0.1), cfg), 41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * cfg.steps, f"peak {peak / cfg.steps:.1f} bytes per step"
+
     def test_converges_to_single_measure(self):
         traj = lorentzian_trajectory(0.1)
         n_single = single(traj)

@@ -345,6 +345,23 @@ class TestTabulatedCorrelation:
         ref = reference_tabulated(model, 1e-3 * np.arange(10001))
         assert np.max(np.abs(f.values - ref)) <= 1e-10 * abs(ref[0])
 
+    @pytest.mark.parametrize("n", [1, 2, 6, 50, 127])
+    def test_fewer_samples_than_a_block(self, n):
+        # Below _NODE_BLOCK_TIMES samples the table has n offsets. On the
+        # benchmark's Gaussian at its step 2, the first n of a long run agree
+        # to 1e-16 f(0): the matrix products differ only in their shapes.
+        assert n < reservoir._NODE_BLOCK_TIMES
+        model = benchmark_gaussian_table()
+        long = correlation(model, dt=2.0, n=300).values
+        assert np.max(np.abs(correlation(model, dt=2.0, n=n).values - long[:n])) <= 1e-16 * abs(long[0])
+
+    @pytest.mark.parametrize("n", [2, 6, 127])
+    @pytest.mark.parametrize("table", [benchmark_gaussian_table, ragged_table])
+    def test_fewer_samples_than_a_block_match_reference_loop(self, table, n):
+        model = table()
+        ref = reference_tabulated(model, 1e-3 * np.arange(n))
+        assert np.max(np.abs(correlation(model, dt=1e-3, n=n).values - ref)) <= 1e-10 * abs(ref[0])
+
     def test_small_times_match_quadrature(self):
         # y_m = x_m t is far below 1 here: the terms 1 - cos y and y - sin y
         # must not come from cancelling differences.
