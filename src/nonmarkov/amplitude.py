@@ -263,7 +263,8 @@ def default_horizon(gamma0: float, width: float, detuning: float = 0.0) -> float
     if classify_regime(model) is Regime.NON_MARKOVIAN:
         periods = 40.0 * np.pi / k
         # Aim halfway below the cutoff so the truncation check has margin.
-        envelope = 2.0 * np.log(2.0 * (1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
+        with np.errstate(over="ignore"):  # a subnormal width gives inf, which the caps reject
+            envelope = 2.0 * np.log(2.0 * (1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
         return max(periods, envelope)
     return 10.0 * (width + k) / (2.0 * gamma0 * width)
 

@@ -31,7 +31,8 @@ from . import constants
 from .amplitude import AmplitudeTrajectory, Method, SolverConfig, compute_trajectory, default_horizon
 from .dynamics import concurrence_bell, population_excited, trace_distance_two
 from .errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
-from .measure import _population_measures, verify_theorem
+from .measure import (_population_measures, _resonant_interval_count, _resonant_measures,
+                      verify_theorem)
 from .reservoir import Lorentzian, OhmicFamily, load_tabulated
 
 EXIT_OK = 0
@@ -114,25 +115,48 @@ class RunConfig:
         except (OSError, ValueError) as exc:
             raise ConfigError(f"table {self.table!r}: {exc}") from None
 
-    def build_solver(self, model) -> SolverConfig:
+    def _method(self, model) -> Method:
         if self.method == "auto":
-            method = Method.CLOSED_FORM if isinstance(model, Lorentzian) else Method.VOLTERRA
-        elif self.method in ("closed_form", "volterra"):
-            method = Method(self.method)
-        else:
-            raise ConfigError(f"unknown solver method {self.method!r}")
-        t_max = self.t_max
-        if t_max is None:
-            if isinstance(model, Lorentzian):
-                t_max = default_horizon(model.gamma0, model.width, model.detuning)
-            else:
-                raise ConfigError("t_max has no automatic rule for this model; pass --t-max")
+            return Method.CLOSED_FORM if isinstance(model, Lorentzian) else Method.VOLTERRA
+        if self.method in ("closed_form", "volterra"):
+            return Method(self.method)
+        raise ConfigError(f"unknown solver method {self.method!r}")
+
+    def horizon(self, model) -> float:
+        if self.t_max is not None:
+            return self.t_max
+        if isinstance(model, Lorentzian):
+            return default_horizon(model.gamma0, model.width, model.detuning)
+        raise ConfigError("t_max has no automatic rule for this model; pass --t-max")
+
+    def build_solver(self, model) -> SolverConfig:
+        method = self._method(model)
+        t_max = self.horizon(model)
         # Checked before any array exists: --dt 1e-300 must not reach numpy.
         steps = t_max / self.dt
         if not (math.isfinite(steps) and round(steps) <= constants.MAX_STEPS):
             raise ConfigError(f"t_max/dt = {steps:.10g} steps exceeds the cap of "
                               f"{constants.MAX_STEPS} steps")
         return SolverConfig(dt=self.dt, t_max=t_max, method=method)
+
+    def measure_solver(self, model) -> SolverConfig | None:
+        """The grid `measure` builds for model, under the step cap, or None where it builds none.
+
+        A resonant Lorentzian in closed form is measured at its exact
+        extrema (`measure._resonant_measures`), which have a cap of their
+        own, MAX_EXTREMA, checked here before any array exists. Both caps
+        are checked without running anything.
+        """
+        if not (isinstance(model, Lorentzian) and model.detuning == 0.0
+                and self._method(model) is Method.CLOSED_FORM):
+            return self.build_solver(model)
+        horizon = self.horizon(model)
+        count = _resonant_interval_count(model, horizon)
+        if not count <= constants.MAX_EXTREMA:
+            raise ConfigError(f"the resonant closed form has {count:.10g} extrema up to t_max = "
+                              f"{horizon:.10g}, which exceeds the cap of "
+                              f"{constants.MAX_EXTREMA} extrema")
+        return None
 
     def trajectory(self) -> AmplitudeTrajectory:
         model = self.build_model()
@@ -431,8 +455,14 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
 
 
 def _measure_bundle(cfg: RunConfig) -> dict:
-    # No name holds b, so it is freed before the extremum search of P.
-    n_single, n_eg, n_two = _population_measures(population_excited(cfg.trajectory()))
+    model = cfg.build_model()
+    solver = cfg.measure_solver(model)
+    if solver is None:
+        n_single, n_eg, n_two = _resonant_measures(model, cfg.horizon(model))
+    else:
+        # No name holds b, so it is freed before the extremum search of P.
+        n_single, n_eg, n_two = _population_measures(
+            population_excited(compute_trajectory(model, solver)))
     # The reports carry regime and kappa only for a resonant Lorentzian.
     single = n_single.to_dict()
     return {
@@ -471,9 +501,11 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
         replace(cfg, width_ratio=float(r))
         for r in np.linspace(args.width_from, args.width_to, args.steps)
     ]
-    for p in points:  # the step cap, for every point before any of them runs
-        p.build_solver(p.build_model())
-    workers = min(cfg.jobs, len(points), os.cpu_count() or 1)
+    # Every point's cap is checked before any of them runs. A point that
+    # builds no grid costs less than starting a worker.
+    grid = sum(p.measure_solver(p.build_model()) is not None for p in points)
+    workers = max(1, min(cfg.jobs, len(points), os.cpu_count() or 1, grid))
+    log.debug("sweep: %d points, %d on a grid, %d workers", len(points), grid, workers)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, points))

@@ -17,11 +17,18 @@ AMPLITUDE_BOUND_SLACK = 1e-8     # |b| <= 1 + this: stored trajectories and chan
                                  # signals stay within [0, 1] by this
 AMPLITUDE_INSTABILITY_SLACK = 1e-6  # solver aborts past 1 + this
 
-# Largest step count round(t_max/dt) the CLI runs: a 2 GiB budget at 256
-# bytes per step (a Volterra `measure` at 2^17 steps peaks at 147 bytes per
-# step on an Ohmic spectrum, 80 on a resonant Lorentzian; a closed-form one
-# at 17).
+# Largest step count round(t_max/dt) of a grid the CLI builds: a 2 GiB budget
+# at 256 bytes per step (a Volterra `measure` at 2^17 steps peaks at 147 bytes
+# per step on an Ohmic spectrum, 80 on a resonant Lorentzian; the closed-form
+# resonant chain at 17, which only `simulate`, `verify` and the library build).
 MAX_STEPS = 2**31 // 256
+
+# Largest number of extrema (rising intervals) a grid-free resonant-Lorentzian
+# `measure` lists (see `measure._resonant_measures`), which builds no grid and
+# so has no step cap. Each listed interval costs about 4.5 KiB of peak RSS in
+# the three reports and their JSON: 60 880 of them (width 2e-8) took 2 s and
+# peaked at 282 MB. 2^16 is reached near width 1.7e-8.
+MAX_EXTREMA = 2**16
 
 # Lorentzian regime boundaries
 # Labels reports and drives truncation only; the closed form branches on
@@ -32,6 +39,7 @@ CRITICAL_REGIME_REL_TOL = 1e-12  # classify: |gamma0 - width/2| <= this * width
 PLATEAU_TOL = 1e-14          # |forward difference| below this is a plateau
 ENVELOPE_CUTOFF = 1e-8       # stop summing maxima once the envelope is below
 TAIL_SAFETY = 1e-6           # relative inflation of reported tail bounds
+TAIL_ROUNDING = 2.0**-48     # grid-free resonant tails: margin, times q(1 + |ln q|)/(1-q)^2
 
 # Theorem verification
 THEOREM_SLACK = 1e-9         # D(t) <= |b(t)| + this

@@ -5,7 +5,8 @@ rising intervals [t_min_n, t_max_n]. Every pair the measures report has a
 distance w(P) that grows with the excited population P = |b|^2, so each
 measure sums w(P_hi) - w(P_lo) over the rising intervals of P alone. For
 the resonant Lorentzian the minima are exact zeros, the sums are
-geometric, and the truncated tail is reported explicitly.
+geometric, and the truncated tail is reported explicitly; its closed form
+gives the extrema themselves, so `_resonant_measures` needs no grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .amplitude import AmplitudeTrajectory, amplitude_envelope
+from .amplitude import AmplitudeTrajectory, amplitude_envelope, lorentzian_min_times
 from .dynamics import (
     ScalarTrajectory,
     StatePair,
@@ -219,16 +220,27 @@ def _report(intervals, contributions, horizon, tail_bound, model: Lorentzian | N
     )
 
 
+def _geometric_tail(model: Lorentzian, n: int) -> tuple[float, float]:
+    """(q, q^(n+1)/(1 - q)) of a non-Markovian resonant Lorentzian.
+
+    |b| peaks at q^m, q = e^{-pi width/kappa}, at t_m = 2 pi m/kappa, so
+    the second value is the sum of those maxima past the n-th.
+    """
+    q = math.exp(-math.pi * model.width / kappa(model))
+    return q, q ** (n + 1) / (1.0 - q)
+
+
 def _lorentzian_truncation(model: Lorentzian, horizon: float, intervals):
-    """Envelope-based stopping rule and exact geometric tail for |b| maxima.
+    """Envelope-based stopping rule and exact geometric tail for |b| maxima on a grid.
 
     Returns (kept intervals, q, tail_bound for a sum whose omitted terms are
     each at most |b| at their maximum).
     Raises HorizonError when the envelope has not decayed below the cutoff
     by the end of the trajectory.
     """
-    k = kappa(model)
-    q = math.exp(-math.pi * model.width / k)
+    env = amplitude_envelope(model.gamma0, model.width, np.array([iv.t_max for iv in intervals]))
+    kept = [iv for iv, e in zip(intervals, env) if e >= constants.ENVELOPE_CUTOFF]
+    q, tail = _geometric_tail(model, len(kept))
     end_envelope = float(amplitude_envelope(model.gamma0, model.width, horizon))
     if end_envelope > constants.ENVELOPE_CUTOFF:
         raise HorizonError(
@@ -236,12 +248,48 @@ def _lorentzian_truncation(model: Lorentzian, horizon: float, intervals):
             f"(cutoff {constants.ENVELOPE_CUTOFF:g}); extend t_max",
             tail_bound=end_envelope / (1.0 - q),
         )
-    env = amplitude_envelope(model.gamma0, model.width, np.array([iv.t_max for iv in intervals]))
-    kept = [iv for iv, e in zip(intervals, env) if e >= constants.ENVELOPE_CUTOFF]
-    n = len(kept)
-    tail = q ** (n + 1) / (1.0 - q)
     tail = tail * (1.0 + constants.TAIL_SAFETY) + 1e-9  # covers refinement error
     return kept, q, tail
+
+
+def _resonant_interval_count(model: Lorentzian, horizon: float):
+    """How many rising intervals `_resonant_measures` lists for a resonant Lorentzian.
+
+    These are the n >= 1 whose maximum t_n = 2 pi n/kappa lies at or before
+    the horizon and has an amplitude envelope at or above ENVELOPE_CUTOFF,
+    the grid route's rule. Zero outside the non-Markovian regime, and inf
+    where n does not fit a float; past 2^52, where floats no longer tell n
+    from n + 1, the count is left unsettled by one. Scalar arithmetic only,
+    so the count is known before any array exists.
+    """
+    if classify_regime(model) is not Regime.NON_MARKOVIAN:
+        return 0
+    k, width = kappa(model), model.width
+
+    def kept(n):
+        t = 2.0 * math.pi * n / k
+        return t <= horizon and amplitude_envelope(model.gamma0, width, t) >= constants.ENVELOPE_CUTOFF
+
+    # The envelope reaches the cutoff at t_cut; the loops settle the rounding at the edge.
+    t_cut = 2.0 * math.log((1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
+    last = min(horizon, t_cut) * k / (2.0 * math.pi)
+    if not math.isfinite(last):
+        return math.inf
+    n = math.floor(last)
+    if n >= 2**52:
+        return n
+    while n > 0 and not kept(n):
+        n -= 1
+    while kept(n + 1):
+        n += 1
+    return n
+
+
+def _rises(intervals, weight) -> list:
+    """weight(hi) - weight(lo) of each interval's extremum values."""
+    hi = np.array([iv.value_at_max for iv in intervals])
+    lo = np.array([iv.value_at_min for iv in intervals])
+    return (weight(hi) - weight(lo)).tolist()
 
 
 def _sum_of_rises(
@@ -263,9 +311,7 @@ def _sum_of_rises(
         tail = tail_scale * unit_tail
         if closed_form is not None:
             cf = closed_form(q)
-    hi = np.array([iv.value_at_max for iv in intervals])
-    lo = np.array([iv.value_at_min for iv in intervals])
-    contributions = (weight(hi) - weight(lo)).tolist()
+    contributions = _rises(intervals, weight)
     if tail is None:
         tail = _generic_tail_bound(contributions)
         if model is None and intervals:
@@ -315,6 +361,47 @@ def _population_measures(p_traj: ScalarTrajectory):
     """(n_single, n_eg, n_two_lower) reports from one extremum search of the population."""
     intervals = find_extrema(p_traj)
     return tuple(_sum_of_rises(p_traj, intervals=intervals, **spec) for spec in (_SINGLE, _EG, _TWO))
+
+
+def _resonant_measures(model: Lorentzian, horizon: float):
+    """(n_single, n_eg, n_two_lower) of a resonant Lorentzian from its exact extrema, with no grid.
+
+    In the non-Markovian regime P = |b|^2 rises on [z_n, t_n]: z_n is the
+    n-th zero of b (`lorentzian_min_times`), where P = 0, and
+    t_n = 2 pi n/kappa its n-th maximum, where P = q^(2n) (`_geometric_tail`).
+    The intervals are the `_resonant_interval_count` first ones. Each tail
+    is the weight's tail scale times the exact remainder q^(N+1)/(1 - q)
+    past the N-th maximum and a rounding margin,
+    TAIL_ROUNDING q (1 + |ln q|)/(1 - q)^2. With u = 2^-53, q is rounded
+    within about (8 |ln q| + 2) u relative, each q^n within n times that
+    and 3 u more, so the series moves by at most about
+    u q/(1 - q) [(8 |ln q| + 2)/(1 - q) + 4], and the remainder by as
+    much again: TAIL_ROUNDING = 32 u covers both, for the total and for
+    `closed_form_total`. In the other regimes P falls monotonically: no
+    intervals, totals and tails of exactly 0. No report depends on a time
+    step.
+    """
+    if classify_regime(model) is not Regime.NON_MARKOVIAN:
+        log.debug("measure: resonant closed form, 0 intervals to t_max %.10g, q none, no grid",
+                  horizon)
+        return tuple(_report([], [], horizon, 0.0, model) for _ in (_SINGLE, _EG, _TWO))
+    n = _resonant_interval_count(model, horizon)
+    q, remainder = _geometric_tail(model, n)
+    log.debug("measure: resonant closed form, %d intervals to t_max %.10g, q %.17g, no grid",
+              n, horizon, q)
+    m = np.arange(1.0, n + 1.0)
+    t_max = 2.0 * math.pi * m / kappa(model)
+    t_min = lorentzian_min_times(model.gamma0, model.width, n) if n else np.empty(0)
+    intervals = [ExtremumInterval(lo, hi, 0.0, p) for lo, hi, p in zip(
+        t_min.tolist(), t_max.tolist(), np.power(q, 2.0 * m).tolist())]
+    # q underflows to 0 near the critical width, where the margin's limit is 0.
+    margin = q * (1.0 - math.log(q)) / (1.0 - q) ** 2 if q > 0.0 else 0.0
+    unit_tail = remainder + constants.TAIL_ROUNDING * margin
+    return tuple(
+        _report(intervals, _rises(intervals, spec["weight"]), horizon,
+                spec["tail_scale"] * unit_tail, model,
+                spec["closed_form"](q) if "closed_form" in spec else None)
+        for spec in (_SINGLE, _EG, _TWO))
 
 
 @dataclass(frozen=True)

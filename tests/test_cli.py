@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli, constants
-from nonmarkov.amplitude import Method
+from nonmarkov.amplitude import Method, compute_trajectory, lorentzian_min_times
 from nonmarkov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, main
 from nonmarkov.dynamics import (
     StatePair,
@@ -21,6 +21,7 @@ from nonmarkov.dynamics import (
     population_excited,
     trace_distance_two,
 )
+from nonmarkov.measure import _population_measures
 from nonmarkov.reservoir import Lorentzian, kappa
 from pair_reference import pair_distance
 
@@ -28,6 +29,7 @@ DETUNED_INI = "[model]\nwidth_ratio = 1\ndetuning = 0.3\n[solver]\nt_max = {t_ma
 DETUNED_01_INI = "[model]\nwidth_ratio = 0.1\ndetuning = 0.3\n[solver]\ndt = 0.01\n"
 PHASE_OVERFLOW = ("nonmarkov: config error: detuning 1e+308 is too large for t up to 1000: "
                   "the phase overflows")
+VOLTERRA_INI = "[solver]\nmethod = volterra\n"
 OHMIC_INI = (
     "[model]\ntype = ohmic\ncoupling = 0.05\nexponent = 1.0\ncutoff = 1.0\n"
     "qubit_frequency = 1.0\n[solver]\ndt = 0.01\nt_max = 20\n"
@@ -257,8 +259,12 @@ class TestMeasure:
         assert bundle["kappa"] == bundle["n_single"]["kappa"] == kap
 
     def test_horizon_error_exit_code(self, tmp_path):
+        # A route that builds a grid (here Volterra) still refuses a horizon
+        # that leaves the envelope above the cutoff.
+        ini = tmp_path / "volterra.ini"
+        ini.write_text(VOLTERRA_INI)
         out = tmp_path / "x.json"
-        code = main(["measure", "--width-ratio", "0.1", "--t-max", "30",
+        code = main(["measure", "--config", str(ini), "--width-ratio", "0.1", "--t-max", "30",
                      "--out", str(out)])
         assert code == 2
 
@@ -337,8 +343,10 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        ini = tmp_path / "volterra.ini"  # every point builds a grid
+        ini.write_text(VOLTERRA_INI)
         code, text = run(tmp_path, "sweep", "--width-from", "5", "--width-to", "10",
-                         "--steps", str(steps), "--jobs", str(jobs))
+                         "--steps", str(steps), "--jobs", str(jobs), "--config", str(ini))
         assert code == EXIT_OK
         assert len(text.splitlines()) == steps + 1
         assert created == expected
@@ -354,8 +362,10 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "_sweep_point", lambda cfg: started.append(cfg.width_ratio))
         monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        ini = tmp_path / "volterra.ini"  # every point builds a grid
+        ini.write_text(VOLTERRA_INI)
         code, _ = run(tmp_path, "sweep", "--width-from", "0.1", "--width-to", "1e-6",
-                      "--steps", "3", "--jobs", jobs)
+                      "--steps", "3", "--jobs", jobs, "--config", str(ini))
         err = capsys.readouterr().err
         assert code == EXIT_CONFIG
         assert err.count("\n") == 1 and "exceeds the cap" in err
@@ -751,10 +761,10 @@ class TestStepCap:
     @pytest.mark.parametrize(
         "argv, steps",
         [(["simulate", "--dt", "1e-300"], "3.864073394e+302"),
-         (["measure", "--dt", "1e-300", "--t-max", "1e300"], "inf"),
+         (["verify", "--dt", "1e-300", "--t-max", "1e300"], "inf"),
          (["verify", "--dt", "1", "--t-max", str(constants.MAX_STEPS + 1)],
           str(constants.MAX_STEPS + 1)),
-         (["measure", "--width-ratio", "1e-6"], "3.822906956e+10")],
+         (["simulate", "--width-ratio", "1e-6"], "3.822906956e+10")],
         ids=["tiny_dt", "infinite_ratio", "one_past_cap", "default_horizon"],
     )
     def test_rejected_before_allocating(self, tmp_path, capsys, argv, steps):
@@ -789,19 +799,21 @@ class TestStepCap:
         assert code == EXIT_OK
         assert peak <= 256 * steps, f"peak {peak / steps:.0f} bytes per step"
 
-    def test_closed_form_measure_within_20_bytes_per_step(self, tmp_path):
-        # A real b and its population, with the checks' one byte a step; b is
-        # freed before the extremum search, and the closed form and the
-        # search hold only fixed blocks. 386 407 steps at the default horizon.
-        steps = cli.RunConfig(width_ratio=0.1).build_solver(Lorentzian(1.0, 0.1)).steps
+    def test_closed_form_measure_within_20_bytes_per_step(self):
+        # The closed-form grid chain that `measure` no longer runs, through the
+        # library: a real b and its population, with the checks' one byte a
+        # step; b is freed before the extremum search, and the closed form and
+        # the search hold only fixed blocks. 386 407 steps at the default horizon.
+        model = Lorentzian(1.0, 0.1)
+        solver = cli.RunConfig(width_ratio=0.1).build_solver(model)
         tracemalloc.start()
         try:
-            code, _ = run(tmp_path, "measure", "--width-ratio", "0.1")
+            reports = _population_measures(population_excited(compute_trajectory(model, solver)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == EXIT_OK
-        assert peak <= 20 * steps, f"peak {peak / steps:.1f} bytes per step"
+        assert len(reports[0].intervals) == 25
+        assert peak <= 20 * solver.steps, f"peak {peak / solver.steps:.1f} bytes per step"
 
     @pytest.mark.parametrize("extra, allowed", [(0.0, True), (0.4, True), (0.6, False)])
     def test_cap_is_on_the_rounded_count(self, extra, allowed):
@@ -813,6 +825,143 @@ class TestStepCap:
         else:
             with pytest.raises(cli.ConfigError, match="exceeds the cap"):
                 cfg.build_solver(model)
+
+
+class TestGridFreeMeasure:
+    """A resonant Lorentzian in closed form: `measure` and `sweep` read the exact extrema."""
+
+    def test_extrema_times_exact(self, tmp_path):
+        code, text = run(tmp_path, "measure", "--width-ratio", "0.1")
+        assert code == EXIT_OK
+        bundle = json.loads(text)
+        k = kappa(Lorentzian(1.0, 0.1))
+        for key in ("n_single", "n_eg", "n_two_lower"):
+            extrema = bundle[key]["extrema"]
+            n = len(extrema)
+            assert n == 25
+            np.testing.assert_allclose([iv["t_min"] for iv in extrema],
+                                       lorentzian_min_times(1.0, 0.1, n), rtol=1e-12, atol=0)
+            np.testing.assert_allclose([iv["t_max"] for iv in extrema],
+                                       2 * np.pi * np.arange(1, n + 1) / k, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("width, intervals", [("0.01", 83), ("0.1", 25), ("0.5", 10),
+                                                  ("1", 6), ("0.002", 185), ("0.0005", 371)])
+    def test_narrow_widths_run_within_the_tail(self, tmp_path, width, intervals):
+        # 0.002 and 0.0005 are past the step cap at dt 1e-3 on a grid.
+        code, text = run(tmp_path, "measure", "--width-ratio", width)
+        assert code == EXIT_OK
+        report = json.loads(text)["n_single"]
+        assert len(report["extrema"]) == intervals
+        assert 0.0 <= report["closed_form_total"] - report["total"] <= report["tail_bound"]
+
+    def test_dt_has_no_effect(self, tmp_path):
+        _, coarse = run(tmp_path, "measure", "--width-ratio", "0.1", "--dt", "0.5")
+        _, fine = run(tmp_path, "measure", "--width-ratio", "0.1", "--dt", "1e-300")
+        coarse, fine = json.loads(coarse), json.loads(fine)
+        assert coarse.pop("config") != fine.pop("config")
+        assert coarse == fine
+
+    def test_short_horizon_is_no_error(self, tmp_path):
+        # The tail covers what the horizon leaves out, with no HorizonError.
+        code, text = run(tmp_path, "measure", "--width-ratio", "0.1", "--t-max", "30")
+        assert code == EXIT_OK
+        report = json.loads(text)["n_single"]
+        assert len(report["extrema"]) == 2 and report["horizon"] == 30.0
+        assert 0.0 <= report["closed_form_total"] - report["total"] <= report["tail_bound"]
+
+    def test_memory_follows_the_extrema_not_the_horizon(self, tmp_path):
+        # Width 0.0005 has a horizon of 76.5 M steps at dt 1e-3, 198 times
+        # width 0.1's; the peak grows only with the extrema listed (371
+        # against 25): the three reports and their JSON, under 5 KiB each.
+        run(tmp_path, "measure", "--width-ratio", "0.3")  # imports and caches
+        peaks = {}
+        for width in ("0.1", "0.0005"):
+            tracemalloc.start()
+            try:
+                code, text = run(tmp_path, "measure", "--width-ratio", width)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            peaks[width] = peak, len(json.loads(text)["n_single"]["extrema"])
+        (peak_wide, n_wide), (peak_narrow, n_narrow) = peaks["0.1"], peaks["0.0005"]
+        assert peak_wide <= 2**18
+        assert peak_narrow - peak_wide <= 5 * 1024 * (n_narrow - n_wide)
+
+    def test_one_extremum_past_the_cap(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(constants, "MAX_EXTREMA", 25)
+        assert run(tmp_path, "measure", "--width-ratio", "0.1")[0] == EXIT_OK
+        monkeypatch.setattr(constants, "MAX_EXTREMA", 24)
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code, _ = run(tmp_path, "measure", "--width-ratio", "0.1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG and err.count("\n") == 1
+        assert err == ("nonmarkov: config error: the resonant closed form has 25 extrema up to "
+                       "t_max = 386.4073394, which exceeds the cap of 24 extrema\n")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_sweep_checks_the_extrema_cap_before_any_point(self, tmp_path, monkeypatch, capsys,
+                                                          jobs):
+        # Only the last width, 0.1, lists 25 extrema.
+        started = []
+        monkeypatch.setattr(constants, "MAX_EXTREMA", 24)
+        monkeypatch.setattr(cli, "_sweep_point", lambda cfg: started.append(cfg.width_ratio))
+        code, _ = run(tmp_path, "sweep", "--width-from", "1", "--width-to", "0.1",
+                      "--steps", "3", "--jobs", jobs)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.count("\n") == 1 and "exceeds the cap of 24 extrema" in err
+        assert started == []
+
+    def test_sweep_bytes_across_jobs(self, tmp_path):
+        args = ["sweep", "--width-from", "0.2", "--width-to", "3.8", "--steps", "10"]
+        outputs = {run(tmp_path, *args, "--jobs", jobs)[1] for jobs in ("1", "2", "4")}
+        assert len(outputs) == 1
+        assert len(outputs.pop().splitlines()) == 11
+
+    def test_sweep_starts_no_pool(self, tmp_path, monkeypatch):
+        def pool(*args, **kwargs):
+            raise AssertionError("no pool may start")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        code, _ = run(tmp_path, "sweep", "--width-from", "0.2", "--width-to", "3.8",
+                      "--steps", "10", "--jobs", "4")
+        assert code == EXIT_OK
+
+    def test_debug_lines_and_clean_outputs(self, tmp_path, caplog):
+        _, quiet_measure = run(tmp_path, "measure", "--width-ratio", "0.1")
+        args = ["sweep", "--width-from", "0.2", "--width-to", "3.8", "--steps", "10", "--jobs", "2"]
+        _, quiet_sweep = run(tmp_path, *args)
+        caplog.set_level(logging.DEBUG, logger="nonmarkov")
+        _, measure_text = run(tmp_path, "measure", "--width-ratio", "0.1")
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1 and re.fullmatch(
+            r"measure: resonant closed form, 25 intervals to t_max 386\.4073394, "
+            r"q 0\.4863966750707\d*, no grid", lines[0])
+        caplog.clear()
+        _, sweep_text = run(tmp_path, *args)
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[0] == "sweep: 10 points, 0 on a grid, 1 workers"
+        assert len(lines) == 11 and all(" no grid" in line for line in lines[1:])
+        assert measure_text == quiet_measure and sweep_text == quiet_sweep
+
+    def test_sweep_logs_grid_points_and_workers(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        ini = tmp_path / "volterra.ini"
+        ini.write_text(VOLTERRA_INI)
+        caplog.set_level(logging.DEBUG, logger="nonmarkov.cli")
+        code, _ = run(tmp_path, "sweep", "--width-from", "5", "--width-to", "10", "--steps", "3",
+                      "--jobs", "1", "--config", str(ini))
+        assert code == EXIT_OK
+        assert [r.getMessage() for r in caplog.records if r.name == "nonmarkov.cli"] == [
+            "sweep: 3 points, 3 on a grid, 1 workers"]
 
 
 class TestOutputDirectory:

@@ -7,6 +7,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from nonmarkov.amplitude import (
     SolverConfig,
     compute_trajectory,
     default_horizon,
+    lorentzian_min_times,
 )
 from nonmarkov.dynamics import (
     QubitInitialState,
@@ -1003,6 +1005,127 @@ class TestBruteForce:
         traj = lorentzian_trajectory(0.5, t_max=60.0)
         with pytest.raises(PhysicalityError):
             brute_force_max(traj, grid_density=2)
+
+
+def mpmath_ratio(width):
+    """q = e^{-pi width/kappa} at 50 digits, gamma0 = 1."""
+    with mpmath.workdps(50):
+        w = mpmath.mpf(width)
+        return mpmath.exp(-mpmath.pi * w / mpmath.sqrt(2 * w - w * w))
+
+
+def mpmath_two_sum(q, first, last=None):
+    """Sum of D2(q^n) = q^n sqrt(2 - 2 q^2n + q^4n) over n = first .. last (to 1e-45 if None)."""
+    with mpmath.workdps(50):
+        total, n = mpmath.mpf(0), first
+        while last is None or n <= last:
+            x = q**n
+            term = x * mpmath.sqrt(2 - 2 * x * x + x**4)
+            if last is None and term < mpmath.mpf(10) ** -45:
+                return total
+            total += term
+            n += 1
+        return total
+
+
+NARROW_TO_WIDE = (0.0005, 0.002, 0.01, 0.1, 0.5, 1.9)
+
+
+def resonant(width, t_max=None):
+    model = Lorentzian(1.0, width)
+    return measure._resonant_measures(model, default_horizon(1.0, width) if t_max is None else t_max)
+
+
+class TestResonantMeasures:
+    """The grid-free reports of a resonant Lorentzian in closed form."""
+
+    @pytest.mark.parametrize("width", NARROW_TO_WIDE)
+    def test_totals_against_the_exact_series(self, width):
+        # Each total is the partial sum to the N-th maximum of its series, and
+        # the series' full value lies within the tail bound above the total;
+        # where the remainder is below rounding (n_eg), the total may exceed it
+        # by that rounding.
+        reports = resonant(width)
+        n = len(reports[0].intervals)
+        q = mpmath_ratio(width)
+        with mpmath.workdps(50):
+            full = (q / (1 - q), q * q / (1 - q * q), mpmath_two_sum(q, 1))
+            partial = (sum(q**m for m in range(1, n + 1)),
+                       sum(q ** (2 * m) for m in range(1, n + 1)),
+                       mpmath_two_sum(q, 1, n))
+            for report, whole, part in zip(reports, full, partial):
+                # q is rounded within about 8 |ln q| ulps, and |ln q| = 13.7 at width 1.9.
+                assert abs(report.total - part) <= 1e-13 * whole
+                assert -1e-14 * whole <= whole - report.total <= report.tail_bound
+        assert reports[0].closed_form_total == pytest.approx(float(full[0]), rel=1e-13)
+
+    @pytest.mark.parametrize("width", NARROW_TO_WIDE)
+    def test_closed_form_total_within_the_tail_in_floating_point(self, width):
+        report = resonant(width)[0]
+        assert report.total <= report.closed_form_total <= report.total + report.tail_bound
+
+    @pytest.mark.parametrize("width", (0.1, 0.5, 1.0))
+    @pytest.mark.parametrize("dt", (1e-3, 5e-4))
+    def test_grid_route_agrees(self, width, dt):
+        exact = resonant(width)
+        grid = measure._population_measures(population_excited(lorentzian_trajectory(width, dt)))
+        for a, b in zip(exact, grid):
+            assert len(a.intervals) == len(b.intervals)
+            assert abs(a.total - b.total) <= 1e-11
+
+    @pytest.mark.parametrize("width", (0.0005, 0.1, 1.0))
+    def test_extrema_are_exact(self, width):
+        report = resonant(width)[0]
+        n = len(report.intervals)
+        k = kappa(Lorentzian(1.0, width))
+        t_min = np.array([iv.t_min for iv in report.intervals])
+        t_max = np.array([iv.t_max for iv in report.intervals])
+        np.testing.assert_allclose(t_min, lorentzian_min_times(1.0, width, n), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(t_max, 2 * np.pi * np.arange(1, n + 1) / k, rtol=1e-12, atol=0)
+        assert all(iv.value_at_min == 0.0 for iv in report.intervals)
+        q = geometric_ratio(width)
+        np.testing.assert_allclose([iv.value_at_max for iv in report.intervals],
+                                   q ** (2.0 * np.arange(1, n + 1)), rtol=1e-12)
+
+    def test_short_horizon_keeps_the_maxima_before_it(self):
+        # No HorizonError without a grid: the tail covers what the horizon leaves out.
+        report = resonant(0.1, t_max=60.0)[0]
+        k = kappa(Lorentzian(1.0, 0.1))
+        assert len(report.intervals) == math.floor(60.0 * k / (2 * math.pi)) == 4
+        assert report.horizon == 60.0
+        assert report.total <= report.closed_form_total <= report.total + report.tail_bound
+
+    @pytest.mark.parametrize("width", (2.0, 5.0, 1e16))
+    def test_markovian_and_critical_exactly_zero(self, width):
+        for report in resonant(width):
+            assert report.total == 0.0 and report.tail_bound == 0.0
+            assert report.intervals == () and report.closed_form_total is None
+
+    def test_ratio_underflow_near_the_critical_width(self):
+        # q = e^{-4443} is 0 in floating point: no maximum survives the cutoff.
+        for report in resonant(2.0 - 1e-6):
+            assert report.regime is Regime.NON_MARKOVIAN
+            assert report.total == report.tail_bound == 0.0 and report.intervals == ()
+        assert resonant(2.0 - 1e-6)[0].closed_form_total == 0.0
+
+    def test_count_before_any_array(self):
+        tracemalloc.start()
+        try:
+            count = measure._resonant_interval_count(Lorentzian(1.0, 1e-300), 1e301)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count > 2**100 and peak < 2**14
+        assert measure._resonant_interval_count(Lorentzian(1.0, 0.1), default_horizon(1.0, 0.1)) == 25
+        assert measure._resonant_interval_count(Lorentzian(1.0, 5.0), 100.0) == 0
+
+    def test_one_debug_line(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="nonmarkov.measure"):
+            resonant(0.1)
+        lines = [r.getMessage() for r in caplog.records]
+        assert len(lines) == 1
+        assert re.fullmatch(r"measure: resonant closed form, 25 intervals to t_max 386\.4073394, "
+                            r"q 0\.486\d+, no grid", lines[0])
 
 
 class TestReportSerialization:
