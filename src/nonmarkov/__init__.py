@@ -23,7 +23,6 @@ from .dynamics import (
     evolve_two_qubit,
     excited_state,
     ground_state,
-    kraus_pair,
     minus_state,
     optimal_pair,
     plus_state,

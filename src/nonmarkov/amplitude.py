@@ -262,7 +262,8 @@ def default_horizon(gamma0: float, width: float, detuning: float = 0.0) -> float
     k = kappa(model)
     if classify_regime(model) is Regime.NON_MARKOVIAN:
         periods = 40.0 * np.pi / k
-        # Aim halfway below the cutoff so the truncation check has margin.
+        # Aim halfway below the cutoff, so that the kept maxima and simulate's
+        # trajectory reach below it.
         with np.errstate(over="ignore"):  # a subnormal width gives inf, which the caps reject
             envelope = 2.0 * np.log(2.0 * (1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
         return max(periods, envelope)

@@ -270,6 +270,13 @@ def _write(path, text: str) -> None:
         fh.write(text)
 
 
+def _write_json(path, payload: dict) -> None:
+    """`payload` as indented JSON and a newline, streamed: the whole text is never held."""
+    with _output(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 # A formatted cell is five little-endian 8-byte words: the sign and a "0.000"
 # prefix, the twelve digits each followed by a dot slot, and the exponent,
 # whose last byte the writer sets to the separator. Unused bytes are NUL,
@@ -476,8 +483,7 @@ def _measure_bundle(cfg: RunConfig) -> dict:
 
 
 def cmd_measure(cfg: RunConfig, out) -> int:
-    bundle = _measure_bundle(cfg)
-    _write(out, json.dumps(bundle, indent=2) + "\n")
+    _write_json(out, _measure_bundle(cfg))
     return EXIT_OK
 
 
@@ -520,8 +526,7 @@ def cmd_verify(cfg: RunConfig, args, out) -> int:
     report = verify_theorem(
         traj, samples=cfg.samples, seed=cfg.seed, bound_scale=args.fault_scale
     )
-    payload = {"config": cfg.effective("verify"), "verification": report.to_dict()}
-    _write(out, json.dumps(payload, indent=2) + "\n")
+    _write_json(out, {"config": cfg.effective("verify"), "verification": report.to_dict()})
     return EXIT_OK if report.ok else EXIT_VERIFICATION
 
 

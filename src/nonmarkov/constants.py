@@ -25,9 +25,9 @@ MAX_STEPS = 2**31 // 256
 
 # Largest number of extrema (rising intervals) a grid-free resonant-Lorentzian
 # `measure` lists (see `measure._resonant_measures`), which builds no grid and
-# so has no step cap. Each listed interval costs about 4.5 KiB of peak RSS in
-# the three reports and their JSON: 60 880 of them (width 2e-8) took 2 s and
-# peaked at 282 MB. 2^16 is reached near width 1.7e-8.
+# so has no step cap. Each listed interval costs about 0.9 KiB of peak RSS in
+# the three reports and their dicts, as the JSON is streamed: 60 880 of them
+# (width 2e-8) took 1.8 s and peaked at 87 MB. 2^16 is reached near width 1.7e-8.
 MAX_EXTREMA = 2**16
 
 # Lorentzian regime boundaries

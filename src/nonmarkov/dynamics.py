@@ -123,14 +123,6 @@ def _population(b: complex | np.ndarray) -> float | np.ndarray:
     return np.minimum(x * x, 1.0)
 
 
-def kraus_pair(b: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude-damping Kraus pair with survival amplitude b."""
-    decay = np.sqrt(1.0 - _population(b))
-    k0 = np.array([[b, 0.0], [0.0, 1.0]], dtype=complex)
-    k1 = np.array([[0.0, 0.0], [decay, 0.0]], dtype=complex)
-    return k0, k1
-
-
 def _evolved(state: QubitInitialState, b: complex) -> np.ndarray:
     """The channel's 2x2 output, rho_ee -> alpha|b|^2 and rho_eg -> beta*b, unchecked.
 
@@ -191,20 +183,20 @@ def evolve_two_qubit(
 
     Product inputs are given as two single-qubit states; an entangled
     input (e.g. a Bell state) is given as a 4x4 DensityMatrix with
-    b_state = None, and goes through the Kraus tensor representation.
+    b_state = None, and goes through the Kraus tensor representation: the
+    four products K_i x K_j of the amplitude-damping pair
+    K_0 = [[b, 0], [0, 1]], K_1 = [[0, 0], [sqrt(1 - |b|^2), 0]] act as one
+    stack, summed in the order (00, 01, 10, 11).
     """
     if isinstance(a, DensityMatrix):
         if b_state is not None:
             raise PhysicalityError("joint 4x4 input takes b_state=None")
         if a.dim != 4:
             raise PhysicalityError("joint input must be 4x4")
-        k0, k1 = kraus_pair(b)
-        out = np.zeros((4, 4), dtype=complex)
-        for ki in (k0, k1):
-            for kj in (k0, k1):
-                op = kron(ki, kj)
-                out += op @ a.matrix @ op.conj().T
-        return DensityMatrix(out)
+        k = np.array([[[b, 0.0], [0.0, 1.0]], [[0.0, 0.0], [np.sqrt(1.0 - _population(b)), 0.0]]],
+                     dtype=complex)
+        ops = (k[:, None, :, None, :, None] * k[None, :, None, :, None, :]).reshape(4, 4, 4)
+        return DensityMatrix((ops @ a.matrix @ ops.conj().transpose(0, 2, 1)).sum(axis=0))
     if b_state is None:
         raise PhysicalityError("product input needs two single-qubit states")
     # One check, on the 4x4 product: each factor is a valid state by construction.

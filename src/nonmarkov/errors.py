@@ -18,9 +18,11 @@ class NumericalFailureError(RuntimeError):
 
 
 class HorizonError(NumericalFailureError):
-    """Trajectory horizon too short for a truncated-sum measure.
+    """A signal without model metadata has not decayed by its horizon.
 
-    Carries the offending tail bound so callers can report it.
+    Only the measures' trailing check raises it, where |b| still reaches
+    1e-4 over the last 5% of the horizon; it carries n_single's estimated
+    tail bound so callers can report it.
     """
 
     def __init__(self, message: str, tail_bound: float):

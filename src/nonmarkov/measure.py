@@ -205,21 +205,6 @@ def _generic_tail_bound(contributions) -> float:
     return 2.0 * r * last / (1.0 - r)
 
 
-def _report(intervals, contributions, horizon, tail_bound, model: Lorentzian | None,
-            closed_form_total=None) -> NonMarkovianityReport:
-    regime = classify_regime(model) if model is not None else None
-    return NonMarkovianityReport(
-        total=math.fsum(contributions),
-        contributions=tuple(contributions),
-        intervals=tuple(intervals),
-        horizon=horizon,
-        tail_bound=tail_bound,
-        regime=regime,
-        kappa=kappa(model) if model is not None else None,
-        closed_form_total=closed_form_total,
-    )
-
-
 def _geometric_tail(model: Lorentzian, n: int) -> tuple[float, float]:
     """(q, q^(n+1)/(1 - q)) of a non-Markovian resonant Lorentzian.
 
@@ -230,24 +215,26 @@ def _geometric_tail(model: Lorentzian, n: int) -> tuple[float, float]:
     return q, q ** (n + 1) / (1.0 - q)
 
 
+def _kept_maxima(model: Lorentzian, horizon: float, t):
+    """Which maxima of |b| at times t the measures sum for a non-Markovian resonant Lorentzian.
+
+    Those at or before the horizon whose amplitude envelope is at or above
+    ENVELOPE_CUTOFF; both routes keep the maxima by this rule.
+    """
+    t = np.asarray(t, dtype=float)
+    return (t <= horizon) & (amplitude_envelope(model.gamma0, model.width, t) >= constants.ENVELOPE_CUTOFF)
+
+
 def _lorentzian_truncation(model: Lorentzian, horizon: float, intervals):
-    """Envelope-based stopping rule and exact geometric tail for |b| maxima on a grid.
+    """The `_kept_maxima` of a grid's intervals and the exact geometric tail past them.
 
     Returns (kept intervals, q, tail_bound for a sum whose omitted terms are
-    each at most |b| at their maximum).
-    Raises HorizonError when the envelope has not decayed below the cutoff
-    by the end of the trajectory.
+    each at most |b| at their maximum). The kept maxima are the first N, so
+    q^(N+1)/(1 - q) is the remainder at any horizon.
     """
-    env = amplitude_envelope(model.gamma0, model.width, np.array([iv.t_max for iv in intervals]))
-    kept = [iv for iv, e in zip(intervals, env) if e >= constants.ENVELOPE_CUTOFF]
+    keep = _kept_maxima(model, horizon, [iv.t_max for iv in intervals])
+    kept = [iv for iv, k in zip(intervals, keep) if k]
     q, tail = _geometric_tail(model, len(kept))
-    end_envelope = float(amplitude_envelope(model.gamma0, model.width, horizon))
-    if end_envelope > constants.ENVELOPE_CUTOFF:
-        raise HorizonError(
-            f"horizon {horizon:g} leaves an amplitude envelope of {end_envelope:.3e} "
-            f"(cutoff {constants.ENVELOPE_CUTOFF:g}); extend t_max",
-            tail_bound=end_envelope / (1.0 - q),
-        )
     tail = tail * (1.0 + constants.TAIL_SAFETY) + 1e-9  # covers refinement error
     return kept, q, tail
 
@@ -255,20 +242,18 @@ def _lorentzian_truncation(model: Lorentzian, horizon: float, intervals):
 def _resonant_interval_count(model: Lorentzian, horizon: float):
     """How many rising intervals `_resonant_measures` lists for a resonant Lorentzian.
 
-    These are the n >= 1 whose maximum t_n = 2 pi n/kappa lies at or before
-    the horizon and has an amplitude envelope at or above ENVELOPE_CUTOFF,
-    the grid route's rule. Zero outside the non-Markovian regime, and inf
-    where n does not fit a float; past 2^52, where floats no longer tell n
-    from n + 1, the count is left unsettled by one. Scalar arithmetic only,
-    so the count is known before any array exists.
+    These are the n >= 1 whose maximum t_n = 2 pi n/kappa is one of the
+    `_kept_maxima`, as on a grid. Zero outside the non-Markovian regime,
+    and inf where n does not fit a float; past 2^52, where floats no longer
+    tell n from n + 1, the count is left unsettled by one. Scalar
+    arithmetic only, so the count is known before any array exists.
     """
     if classify_regime(model) is not Regime.NON_MARKOVIAN:
         return 0
     k, width = kappa(model), model.width
 
     def kept(n):
-        t = 2.0 * math.pi * n / k
-        return t <= horizon and amplitude_envelope(model.gamma0, width, t) >= constants.ENVELOPE_CUTOFF
+        return bool(_kept_maxima(model, horizon, 2.0 * math.pi * n / k))
 
     # The envelope reaches the cutoff at t_cut; the loops settle the rounding at the edge.
     t_cut = 2.0 * math.log((1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
@@ -292,40 +277,6 @@ def _rises(intervals, weight) -> list:
     return (weight(hi) - weight(lo)).tolist()
 
 
-def _sum_of_rises(
-    sig: ScalarTrajectory, weight, tail_scale: float, closed_form=None, intervals=None
-) -> NonMarkovianityReport:
-    """Shared core of the measures: sum weight(hi) - weight(lo) over the rising intervals of a population.
-
-    `sig` is the excited population P = |b|^2 and `weight` a pair's distance
-    as a function of P, which grows with P, so the pair's distance rises
-    exactly where P does. `intervals` are `find_extrema(sig)`, found here
-    unless given.
-    """
-    if intervals is None:
-        intervals = find_extrema(sig)
-    model = sig.lorentzian
-    cf = tail = None
-    if model is not None and classify_regime(model) is Regime.NON_MARKOVIAN:
-        intervals, q, unit_tail = _lorentzian_truncation(model, sig.t_max, intervals)
-        tail = tail_scale * unit_tail
-        if closed_form is not None:
-            cf = closed_form(q)
-    contributions = _rises(intervals, weight)
-    if tail is None:
-        tail = _generic_tail_bound(contributions)
-        if model is None and intervals:
-            trailing = sig.values[int(0.95 * (sig.values.size - 1)):]
-            peak = math.sqrt(float(np.max(trailing)))  # the check and its message are on |b|
-            if peak > 1e-4:
-                raise HorizonError(
-                    f"signal still reaches {peak:.3e} over the last 5% of the horizon; "
-                    "extend t_max",
-                    tail_bound=tail,
-                )
-    return _report(intervals, contributions, sig.t_max, tail, model, cf)
-
-
 # The weights w(P) and tail scales of the population sums: the |+>/|-> pair,
 # whose distance is |b|, with its closed geometric value; the |e>/|g> pair,
 # whose distance is P; and the |++>/|--> pair of the two-qubit lower bound.
@@ -333,6 +284,60 @@ def _sum_of_rises(
 _SINGLE = {"weight": np.sqrt, "tail_scale": 1.0, "closed_form": lambda q: q / (1.0 - q)}
 _EG = {"weight": lambda p: p, "tail_scale": 1.0}
 _TWO = {"weight": lambda p: trace_distance_two(np.sqrt(p)), "tail_scale": math.sqrt(2.0)}
+
+
+def _reports(intervals, horizon: float, unit_tail: float | None, model: Lorentzian | None,
+             q: float | None) -> tuple[NonMarkovianityReport, ...]:
+    """(n_single, n_eg, n_two_lower): each pair's rises w(P_hi) - w(P_lo) over the same intervals.
+
+    Each tail is the pair's tail scale times `unit_tail`, or, where that is
+    None, `_generic_tail_bound` of the pair's own contributions. A given q
+    attaches n_single's closed geometric value q/(1 - q). Regime and kappa
+    are reported for a Lorentzian model only.
+    """
+    regime = classify_regime(model) if model is not None else None
+    k = kappa(model) if model is not None else None
+    reports = []
+    for spec in (_SINGLE, _EG, _TWO):
+        contributions = _rises(intervals, spec["weight"])
+        reports.append(NonMarkovianityReport(
+            total=math.fsum(contributions),
+            contributions=tuple(contributions),
+            intervals=tuple(intervals),
+            horizon=horizon,
+            tail_bound=(_generic_tail_bound(contributions) if unit_tail is None
+                        else spec["tail_scale"] * unit_tail),
+            regime=regime,
+            kappa=k,
+            closed_form_total=spec["closed_form"](q) if q is not None and "closed_form" in spec else None,
+        ))
+    return tuple(reports)
+
+
+def _population_measures(p_traj: ScalarTrajectory):
+    """(n_single, n_eg, n_two_lower) reports from one extremum search of the population P.
+
+    `p_traj` is P = |b|^2, and each pair's distance w(P) grows with P, so it
+    rises exactly where P does. A non-Markovian resonant Lorentzian keeps
+    the `_lorentzian_truncation` of the intervals and its exact geometric
+    tail. A signal without a model that still reaches 1e-4 in |b| over the
+    last 5% of the horizon raises HorizonError with n_single's tail.
+    """
+    intervals = find_extrema(p_traj)
+    model = p_traj.lorentzian
+    q = unit_tail = None
+    if model is not None and classify_regime(model) is Regime.NON_MARKOVIAN:
+        intervals, q, unit_tail = _lorentzian_truncation(model, p_traj.t_max, intervals)
+    reports = _reports(intervals, p_traj.t_max, unit_tail, model, q)
+    if model is None and intervals:
+        trailing = p_traj.values[int(0.95 * (p_traj.values.size - 1)):]
+        peak = math.sqrt(float(np.max(trailing)))  # the check and its message are on |b|
+        if peak > 1e-4:
+            raise HorizonError(
+                f"signal still reaches {peak:.3e} over the last 5% of the horizon; extend t_max",
+                tail_bound=reports[0].tail_bound,
+            )
+    return reports
 
 
 def nonmarkovianity_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
@@ -345,7 +350,7 @@ def nonmarkovianity_from_population(p_traj: ScalarTrajectory) -> NonMarkovianity
     omitted remainder is reported as `tail_bound`. The closed geometric
     value 1/(e^{pi*width/kappa} - 1) is attached for cross-checking.
     """
-    return _sum_of_rises(p_traj, **_SINGLE)
+    return _population_measures(p_traj)[0]
 
 
 def lower_bound_two_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
@@ -354,13 +359,7 @@ def lower_bound_two_from_population(p_traj: ScalarTrajectory) -> NonMarkovianity
     The tail uses sqrt(2) times the geometric remainder, which bounds the
     per-term weight for x in (0, 1].
     """
-    return _sum_of_rises(p_traj, **_TWO)
-
-
-def _population_measures(p_traj: ScalarTrajectory):
-    """(n_single, n_eg, n_two_lower) reports from one extremum search of the population."""
-    intervals = find_extrema(p_traj)
-    return tuple(_sum_of_rises(p_traj, intervals=intervals, **spec) for spec in (_SINGLE, _EG, _TWO))
+    return _population_measures(p_traj)[2]
 
 
 def _resonant_measures(model: Lorentzian, horizon: float):
@@ -384,7 +383,7 @@ def _resonant_measures(model: Lorentzian, horizon: float):
     if classify_regime(model) is not Regime.NON_MARKOVIAN:
         log.debug("measure: resonant closed form, 0 intervals to t_max %.10g, q none, no grid",
                   horizon)
-        return tuple(_report([], [], horizon, 0.0, model) for _ in (_SINGLE, _EG, _TWO))
+        return _reports([], horizon, 0.0, model, None)
     n = _resonant_interval_count(model, horizon)
     q, remainder = _geometric_tail(model, n)
     log.debug("measure: resonant closed form, %d intervals to t_max %.10g, q %.17g, no grid",
@@ -396,12 +395,7 @@ def _resonant_measures(model: Lorentzian, horizon: float):
         t_min.tolist(), t_max.tolist(), np.power(q, 2.0 * m).tolist())]
     # q underflows to 0 near the critical width, where the margin's limit is 0.
     margin = q * (1.0 - math.log(q)) / (1.0 - q) ** 2 if q > 0.0 else 0.0
-    unit_tail = remainder + constants.TAIL_ROUNDING * margin
-    return tuple(
-        _report(intervals, _rises(intervals, spec["weight"]), horizon,
-                spec["tail_scale"] * unit_tail, model,
-                spec["closed_form"](q) if "closed_form" in spec else None)
-        for spec in (_SINGLE, _EG, _TWO))
+    return _reports(intervals, horizon, remainder + constants.TAIL_ROUNDING * margin, model, q)
 
 
 @dataclass(frozen=True)

@@ -258,15 +258,18 @@ class TestMeasure:
         assert bundle["regime"] == bundle["n_single"]["regime"] == regime
         assert bundle["kappa"] == bundle["n_single"]["kappa"] == kap
 
-    def test_horizon_error_exit_code(self, tmp_path):
-        # A route that builds a grid (here Volterra) still refuses a horizon
-        # that leaves the envelope above the cutoff.
-        ini = tmp_path / "volterra.ini"
-        ini.write_text(VOLTERRA_INI)
-        out = tmp_path / "x.json"
-        code = main(["measure", "--config", str(ini), "--width-ratio", "0.1", "--t-max", "30",
-                     "--out", str(out)])
-        assert code == 2
+    @pytest.mark.parametrize("ini_text", ("", VOLTERRA_INI), ids=["closed_form", "volterra"])
+    def test_short_horizon_is_measured(self, tmp_path, ini_text):
+        # A horizon that leaves the envelope above the cutoff is measured on
+        # a grid too: the tail covers the maxima past it.
+        ini = tmp_path / "run.ini"
+        ini.write_text(ini_text)
+        code, text = run(tmp_path, "measure", "--config", str(ini), "--width-ratio", "0.1",
+                         "--t-max", "30")
+        assert code == EXIT_OK
+        report = json.loads(text)["n_single"]
+        assert len(report["extrema"]) == 2
+        assert 0.0 <= report["closed_form_total"] - report["total"] <= report["tail_bound"]
 
 
 class TestSweep:
@@ -872,21 +875,24 @@ class TestGridFreeMeasure:
     def test_memory_follows_the_extrema_not_the_horizon(self, tmp_path):
         # Width 0.0005 has a horizon of 76.5 M steps at dt 1e-3, 198 times
         # width 0.1's; the peak grows only with the extrema listed (371
-        # against 25): the three reports and their JSON, under 5 KiB each.
+        # against 25): the three reports and their dicts, which read 740
+        # bytes each, with the JSON streamed; the bound leaves 38 % margin.
+        # The output is read back after the peak is taken.
         run(tmp_path, "measure", "--width-ratio", "0.3")  # imports and caches
+        out = tmp_path / "peak.json"
         peaks = {}
         for width in ("0.1", "0.0005"):
             tracemalloc.start()
             try:
-                code, text = run(tmp_path, "measure", "--width-ratio", width)
+                code = main(["measure", "--width-ratio", width, "--out", str(out)])
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert code == EXIT_OK
-            peaks[width] = peak, len(json.loads(text)["n_single"]["extrema"])
+            peaks[width] = peak, len(json.loads(out.read_text())["n_single"]["extrema"])
         (peak_wide, n_wide), (peak_narrow, n_narrow) = peaks["0.1"], peaks["0.0005"]
         assert peak_wide <= 2**18
-        assert peak_narrow - peak_wide <= 5 * 1024 * (n_narrow - n_wide)
+        assert peak_narrow - peak_wide <= 1024 * (n_narrow - n_wide)
 
     def test_one_extremum_past_the_cap(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(constants, "MAX_EXTREMA", 25)

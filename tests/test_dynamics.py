@@ -201,6 +201,21 @@ class TestTwoQubit:
             )
             assert np.max(np.abs(got - want)) < 1e-14
 
+    @pytest.mark.parametrize("kind", ["mixed", "entangled"])
+    def test_joint_input_matches_kraus_tensor(self, kind):
+        # Random full-rank and random pure entangled 4x4 states at complex b.
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+            m = g @ g.conj().T if kind == "mixed" else np.outer(g[0], g[0].conj())
+            m /= np.trace(m).real
+            rho = DensityMatrix(m)
+            if kind == "entangled":
+                assert wootters_concurrence(rho) > 0.01
+            b = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+            got = evolve_two_qubit(rho, None, b).matrix
+            assert np.max(np.abs(got - kraus_oracle_two(rho.matrix, b))) < 1e-14
+
     def test_bell_psi_keeps_double_excitation_empty(self):
         for b in (1.0, 0.9, 0.5, 0.2, 0.0):
             rho = evolve_two_qubit(bell_psi(), None, b)

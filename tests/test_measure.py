@@ -30,7 +30,7 @@ from nonmarkov.dynamics import (
     population_excited,
     trace_distance_two,
 )
-from nonmarkov.errors import HorizonError, PhysicalityError
+from nonmarkov.errors import PhysicalityError
 from nonmarkov.measure import (
     TheoremVerification,
     brute_force_max,
@@ -423,11 +423,14 @@ class TestSingleMeasure:
             omitted = q / (1 - q) - report.total
             assert report.tail_bound >= omitted > 0
 
-    def test_horizon_too_short(self):
-        traj = lorentzian_trajectory(0.1, t_max=60.0)
-        with pytest.raises(HorizonError) as err:
-            single(traj)
-        assert err.value.tail_bound > 0
+    @pytest.mark.parametrize("method", (Method.CLOSED_FORM, Method.VOLTERRA))
+    def test_short_horizon_is_measured(self, method):
+        # At t_max 60 the envelope is still 0.055: the first four maxima are
+        # summed and the tail covers the rest, on either grid.
+        cfg = SolverConfig(dt=1e-3, t_max=60.0, method=method)
+        report = single(compute_trajectory(Lorentzian(1.0, 0.1), cfg))
+        assert len(report.intervals) == 4
+        assert 0.0 <= report.closed_form_total - report.total <= report.tail_bound
 
     def test_nonvanishing_minima_summed_as_rises(self):
         # |b| lifted away from zero: 0.5|b| + 0.4 rises by half as much as |b|,
@@ -1073,6 +1076,19 @@ class TestResonantMeasures:
             assert len(a.intervals) == len(b.intervals)
             assert abs(a.total - b.total) <= 1e-11
 
+    @pytest.mark.parametrize("width", (0.1, 0.5, 1.0))
+    @pytest.mark.parametrize("t_max", (30.0, 60.0, 200.0, None))
+    def test_grid_route_keeps_the_same_maxima(self, width, t_max):
+        # Both routes keep a maximum by `_kept_maxima`, at short horizons too.
+        exact = resonant(width, t_max)
+        horizon = exact[0].horizon
+        grid = measure._population_measures(
+            population_excited(lorentzian_trajectory(width, t_max=horizon)))
+        for a, b in zip(exact, grid):
+            assert len(a.intervals) == len(b.intervals) > 0
+            assert abs(a.total - b.total) <= 1e-11
+        assert 0.0 <= grid[0].closed_form_total - grid[0].total <= grid[0].tail_bound
+
     @pytest.mark.parametrize("width", (0.0005, 0.1, 1.0))
     def test_extrema_are_exact(self, width):
         report = resonant(width)[0]
@@ -1088,7 +1104,7 @@ class TestResonantMeasures:
                                    q ** (2.0 * np.arange(1, n + 1)), rtol=1e-12)
 
     def test_short_horizon_keeps_the_maxima_before_it(self):
-        # No HorizonError without a grid: the tail covers what the horizon leaves out.
+        # The tail covers what the horizon leaves out.
         report = resonant(0.1, t_max=60.0)[0]
         k = kappa(Lorentzian(1.0, 0.1))
         assert len(report.intervals) == math.floor(60.0 * k / (2 * math.pi)) == 4
