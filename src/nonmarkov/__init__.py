@@ -45,8 +45,7 @@ from .measure import (
     TheoremVerification,
     brute_force_max,
     find_extrema,
-    lower_bound_two_from_population,
-    nonmarkovianity_from_population,
+    population_measures,
     sample_state_pairs,
     verify_theorem,
 )

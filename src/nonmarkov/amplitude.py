@@ -74,14 +74,9 @@ class AmplitudeTrajectory(_SampleGrid):
     """b(n*dt) on a uniform grid, b(0) = 1.
 
     Real values stay float64 and any others are stored as complex128.
-    `lorentzian` carries the generating model when it is a resonant
-    Lorentzian; the measure module uses it for envelope-based truncation
-    bounds. It is None for detuned Lorentzians and general spectra. The
-    check of max|b| (`reservoir._max_abs`) makes no array of b's length;
-    the finiteness check makes one of a byte a sample.
+    The check of max|b| (`reservoir._max_abs`) makes no array of b's
+    length; the finiteness check makes one of a byte a sample.
     """
-
-    lorentzian: Lorentzian | None = None
 
     _dtype = None
 
@@ -462,26 +457,18 @@ def _closed_form_blocks(model: Lorentzian, dt: float, n: int) -> np.ndarray:
 def compute_trajectory(model: SpectralModel, cfg: SolverConfig) -> AmplitudeTrajectory:
     """Produce b(t) for a spectral model using the configured method.
 
-    The trajectory carries the model as `lorentzian` when it is a resonant
-    Lorentzian, by either method. A closed form is written into b in blocks
-    of `_CLOSED_FORM_BLOCK` samples, so beyond b's 8 (real) or 16 (complex)
-    bytes a step its temporaries have a fixed size; the checks of
-    `AmplitudeTrajectory` add one byte a step while they run.
+    A closed form is written into b in blocks of `_CLOSED_FORM_BLOCK`
+    samples, so beyond b's 8 (real) or 16 (complex) bytes a step its
+    temporaries have a fixed size; the checks of `AmplitudeTrajectory` add
+    one byte a step while they run.
     """
     n = cfg.steps
-    resonant = isinstance(model, Lorentzian) and model.detuning == 0.0
     if cfg.method is Method.CLOSED_FORM:
         if not isinstance(model, Lorentzian):
             raise UnsupportedModelError(
                 "the closed-form path covers the Lorentzian only; "
                 "use the Volterra method for this model"
             )
-        return AmplitudeTrajectory(dt=cfg.dt, values=_closed_form_blocks(model, cfg.dt, n),
-                                   lorentzian=model if resonant else None)
-    f = correlation(model, cfg.dt, n + 1)
-    traj = solve_volterra(f, cfg)
-    if resonant:
-        # solve_volterra has checked these values: attach the model without a second check.
-        object.__setattr__(traj, "lorentzian", model)
-    return traj
+        return AmplitudeTrajectory(dt=cfg.dt, values=_closed_form_blocks(model, cfg.dt, n))
+    return solve_volterra(correlation(model, cfg.dt, n + 1), cfg)
 

@@ -31,8 +31,8 @@ from . import constants
 from .amplitude import AmplitudeTrajectory, Method, SolverConfig, compute_trajectory, default_horizon
 from .dynamics import concurrence_bell, population_excited, trace_distance_two
 from .errors import NumericalFailureError, PhysicalityError, UnsupportedModelError
-from .measure import (_population_measures, _resonant_interval_count, _resonant_measures,
-                      verify_theorem)
+from .measure import (_is_resonant_lorentzian, _resonant_interval_count, _resonant_measures,
+                      population_measures, verify_theorem)
 from .reservoir import Lorentzian, OhmicFamily, load_tabulated
 
 EXIT_OK = 0
@@ -147,8 +147,7 @@ class RunConfig:
         own, MAX_EXTREMA, checked here before any array exists. Both caps
         are checked without running anything.
         """
-        if not (isinstance(model, Lorentzian) and model.detuning == 0.0
-                and self._method(model) is Method.CLOSED_FORM):
+        if not (_is_resonant_lorentzian(model) and self._method(model) is Method.CLOSED_FORM):
             return self.build_solver(model)
         horizon = self.horizon(model)
         count = _resonant_interval_count(model, horizon)
@@ -468,8 +467,8 @@ def _measure_bundle(cfg: RunConfig) -> dict:
         n_single, n_eg, n_two = _resonant_measures(model, cfg.horizon(model))
     else:
         # No name holds b, so it is freed before the extremum search of P.
-        n_single, n_eg, n_two = _population_measures(
-            population_excited(compute_trajectory(model, solver)))
+        n_single, n_eg, n_two = population_measures(
+            population_excited(compute_trajectory(model, solver)), model)
     # The reports carry regime and kappa only for a resonant Lorentzian.
     single = n_single.to_dict()
     return {

@@ -31,7 +31,7 @@ from . import constants
 from .amplitude import AmplitudeTrajectory
 from .errors import PhysicalityError
 from .linalg import DensityMatrix, kron
-from .reservoir import Lorentzian, _SampleGrid
+from .reservoir import _SampleGrid
 
 
 @dataclass(frozen=True)
@@ -64,8 +64,6 @@ class StatePair:
 @dataclass(frozen=True, eq=False)
 class ScalarTrajectory(_SampleGrid):
     """A real signal in [0, 1] on a uniform grid, such as the excited population."""
-
-    lorentzian: Lorentzian | None = None
 
     _dtype = float
 
@@ -157,7 +155,7 @@ def trace_distance_single(pair: StatePair, b: complex | np.ndarray) -> float | n
 
 def population_excited(traj: AmplitudeTrajectory) -> ScalarTrajectory:
     """Excited population |b(t)|^2 of a qubit prepared in |e>."""
-    return ScalarTrajectory(dt=traj.dt, values=_population(traj.values), lorentzian=traj.lorentzian)
+    return ScalarTrajectory(dt=traj.dt, values=_population(traj.values))
 
 
 def bell_psi() -> DensityMatrix:

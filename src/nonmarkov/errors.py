@@ -18,13 +18,8 @@ class NumericalFailureError(RuntimeError):
 
 
 class HorizonError(NumericalFailureError):
-    """A signal without model metadata has not decayed by its horizon.
+    """A population measured without a resonant model has not decayed by its horizon.
 
     Only the measures' trailing check raises it, where |b| still reaches
-    1e-4 over the last 5% of the horizon; it carries n_single's estimated
-    tail bound so callers can report it.
+    1e-4 over the last 5% of the horizon.
     """
-
-    def __init__(self, message: str, tail_bound: float):
-        super().__init__(message)
-        self.tail_bound = tail_bound

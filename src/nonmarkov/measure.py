@@ -28,7 +28,7 @@ from .dynamics import (
     trace_distance_two,
 )
 from .errors import HorizonError, PhysicalityError
-from .reservoir import Lorentzian, Regime, _max_abs, classify_regime, kappa
+from .reservoir import Lorentzian, Regime, SpectralModel, _max_abs, classify_regime, kappa
 
 log = logging.getLogger(__name__)
 
@@ -187,12 +187,17 @@ class NonMarkovianityReport:
         return out
 
 
+def _is_resonant_lorentzian(model) -> bool:
+    """Whether the measures know `model`'s extrema and tail exactly: a Lorentzian at zero detuning."""
+    return isinstance(model, Lorentzian) and model.detuning == 0.0
+
+
 def _generic_tail_bound(contributions) -> float:
     """Geometric extrapolation from the last two contributions, inflated 2x.
 
-    An estimate, not a bound, for signals without model metadata: detuned
-    Lorentzians and the other spectra. The resonant Lorentzian path uses
-    the exact geometric tail instead.
+    An estimate, not a bound, for populations measured without a resonant
+    Lorentzian: detuned Lorentzians and the other spectra. The resonant
+    Lorentzian uses the exact geometric tail instead.
     """
     if not contributions:
         return 0.0
@@ -293,7 +298,7 @@ def _reports(intervals, horizon: float, unit_tail: float | None, model: Lorentzi
     Each tail is the pair's tail scale times `unit_tail`, or, where that is
     None, `_generic_tail_bound` of the pair's own contributions. A given q
     attaches n_single's closed geometric value q/(1 - q). Regime and kappa
-    are reported for a Lorentzian model only.
+    are reported for a given (resonant Lorentzian) model only.
     """
     regime = classify_regime(model) if model is not None else None
     k = kappa(model) if model is not None else None
@@ -314,52 +319,44 @@ def _reports(intervals, horizon: float, unit_tail: float | None, model: Lorentzi
     return tuple(reports)
 
 
-def _population_measures(p_traj: ScalarTrajectory):
-    """(n_single, n_eg, n_two_lower) reports from one extremum search of the population P.
+def population_measures(p_traj: ScalarTrajectory, model: SpectralModel | None = None):
+    """(n_single, n_eg, n_two_lower) reports from one extremum search of the excited population P.
 
-    `p_traj` is P = |b|^2, and each pair's distance w(P) grows with P, so it
-    rises exactly where P does. A non-Markovian resonant Lorentzian keeps
-    the `_lorentzian_truncation` of the intervals and its exact geometric
-    tail. A signal without a model that still reaches 1e-4 in |b| over the
-    last 5% of the horizon raises HorizonError with n_single's tail.
+    `p_traj` is P = |b|^2 of a qubit in the reservoir `model`. Each pair's
+    distance w(P) grows with P, so it rises exactly where P does, and each
+    report sums w(P_hi) - w(P_lo) over the rising intervals of P:
+    n_single for sqrt(P) = |b|, the distance of the optimal |+>/|-> pair
+    (the BLP measure, Breuer, Laine and Piilo, PRL 103, 210401 (2009));
+    n_eg for P, that of |e>/|g>; n_two_lower for x sqrt(2 - 2x^2 + x^4),
+    x = sqrt(P), that of |++>/|-->, a lower bound on the two-qubit measure.
+
+    A resonant Lorentzian `model` gives the reports its regime and kappa.
+    In the non-Markovian regime its minima are exact zeros: the reports
+    keep the `_lorentzian_truncation` of the intervals, each tail is the
+    pair's tail scale times the exact geometric remainder, and n_single
+    carries the closed geometric value q/(1 - q), q = e^{-pi width/kappa}.
+    Any other model reports as no model does: each tail is
+    `_generic_tail_bound`'s estimate, and a P with rising intervals whose
+    |b| still reaches 1e-4 over the last 5% of the horizon raises
+    HorizonError.
     """
     intervals = find_extrema(p_traj)
-    model = p_traj.lorentzian
+    found = len(intervals)
+    model = model if _is_resonant_lorentzian(model) else None
     q = unit_tail = None
-    if model is not None and classify_regime(model) is Regime.NON_MARKOVIAN:
-        intervals, q, unit_tail = _lorentzian_truncation(model, p_traj.t_max, intervals)
-    reports = _reports(intervals, p_traj.t_max, unit_tail, model, q)
     if model is None and intervals:
         trailing = p_traj.values[int(0.95 * (p_traj.values.size - 1)):]
         peak = math.sqrt(float(np.max(trailing)))  # the check and its message are on |b|
         if peak > 1e-4:
             raise HorizonError(
-                f"signal still reaches {peak:.3e} over the last 5% of the horizon; extend t_max",
-                tail_bound=reports[0].tail_bound,
-            )
+                f"signal still reaches {peak:.3e} over the last 5% of the horizon; extend t_max")
+    if model is not None and classify_regime(model) is Regime.NON_MARKOVIAN:
+        intervals, q, unit_tail = _lorentzian_truncation(model, p_traj.t_max, intervals)
+    reports = _reports(intervals, p_traj.t_max, unit_tail, model, q)
+    log.debug("measure: grid of %d samples, %d rising intervals found, %d kept, tail %.17g, %s",
+              p_traj.values.size, found, len(intervals), reports[0].tail_bound,
+              "estimate" if unit_tail is None else "exact geometric remainder")
     return reports
-
-
-def nonmarkovianity_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
-    """Sum of the rises of sqrt(P) over the rising intervals of the excited population P.
-
-    sqrt(P) = |b| is the distance of the optimal |+>/|-> pair. For the
-    resonant Lorentzian the minima are exact zeros, so the sum is that of
-    |b| at its maxima, and the infinite sum is geometric: summation stops
-    once the amplitude envelope drops below the truncation cutoff and the
-    omitted remainder is reported as `tail_bound`. The closed geometric
-    value 1/(e^{pi*width/kappa} - 1) is attached for cross-checking.
-    """
-    return _population_measures(p_traj)[0]
-
-
-def lower_bound_two_from_population(p_traj: ScalarTrajectory) -> NonMarkovianityReport:
-    """Sum of the rises of x sqrt(2 - 2x^2 + x^4), x = sqrt(P), over the rising intervals of P.
-
-    The tail uses sqrt(2) times the geometric remainder, which bounds the
-    per-term weight for x in (0, 1].
-    """
-    return _population_measures(p_traj)[2]
 
 
 def _resonant_measures(model: Lorentzian, horizon: float):

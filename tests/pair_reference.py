@@ -13,8 +13,8 @@ from nonmarkov.measure import find_extrema
 
 
 def signal(traj, values):
-    """`values` on the grid of `traj`, carrying its model."""
-    return ScalarTrajectory(dt=traj.dt, values=values, lorentzian=traj.lorentzian)
+    """`values` on the grid of `traj`."""
+    return ScalarTrajectory(dt=traj.dt, values=values)
 
 
 def pair_distance(traj, pair):

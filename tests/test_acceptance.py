@@ -42,8 +42,7 @@ from nonmarkov.linalg import trace_distance, wootters_concurrence
 from nonmarkov.measure import (
     brute_force_max,
     find_extrema,
-    lower_bound_two_from_population,
-    nonmarkovianity_from_population,
+    population_measures,
     sample_state_pairs,
     verify_theorem,
 )
@@ -66,8 +65,13 @@ def traj01():
     return measure_trajectory(0.1)
 
 
-def n_single(traj):
-    return nonmarkovianity_from_population(population_excited(traj))
+def measures(traj, width):
+    """(n_single, n_eg, n_two_lower) of b(t), measured with its resonant Lorentzian of `width`."""
+    return population_measures(population_excited(traj), Lorentzian(1.0, width))
+
+
+def n_single(traj, width):
+    return measures(traj, width)[0]
 
 
 def geometric_total(width, power=1):
@@ -98,8 +102,8 @@ def test_criterion_1_solver_equivalence():
 
 
 def test_criterion_2_closed_form_measure(traj01):
-    got_01 = n_single(traj01).total
-    got_10 = n_single(measure_trajectory(1.0)).total
+    got_01 = n_single(traj01, 0.1).total
+    got_10 = n_single(measure_trajectory(1.0), 1.0).total
     want_01 = geometric_total(0.1)
     want_10 = geometric_total(1.0)
     ok = (
@@ -119,7 +123,7 @@ def test_criterion_3_pair_dominance(traj01):
     for width in np.linspace(0.1, 1.0, 10):
         traj = measure_trajectory(float(width))
         eg = pair_blp_sum(traj, pair)
-        full = n_single(traj).total
+        full = n_single(traj, float(width)).total
         ok = ok and eg < full
     report(3, f"N_eg(0.1)={got:.6f} (geom {want:.6f}) and N_eg < N_single on the sweep grid", ok)
 
@@ -128,9 +132,8 @@ def test_criterion_4_markovian_nullity():
     ok = True
     for width in (2.0, 5.0, 10.0):
         traj = measure_trajectory(width)
-        n_s = n_single(traj)
+        n_s, _, n_t = measures(traj, width)
         eg_signal = pair_distance(traj, StatePair(excited_state(), ground_state()))
-        n_t = lower_bound_two_from_population(population_excited(traj))
         ok = ok and n_s.total == 0.0 and sum_of_rises(eg_signal) == 0.0 and n_t.total == 0.0
         ok = ok and not n_s.intervals and not find_extrema(eg_signal) and not n_t.intervals
     report(4, "widths {2, 5, 10}: all three measures exactly 0, no extrema detected", ok)
@@ -148,7 +151,7 @@ def test_criterion_5_zero_times(traj01):
 
 def test_criterion_6_theorem_suite(traj01):
     verification = verify_theorem(traj01, samples=10**4, seed=42)
-    single = n_single(traj01).total
+    single = n_single(traj01, 0.1).total
     brute = brute_force_max(traj01, grid_density=21)
     pair = brute.best_pair
     ok = (
@@ -210,7 +213,7 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_two_qubit_lower_bound(traj01):
     # Eq. (14) sums the |++>/|--> distance over its own extrema, Eq. (15) over the population's.
     eq14 = sum_of_rises(signal(traj01, trace_distance_two(traj01.values)))
-    eq15 = lower_bound_two_from_population(population_excited(traj01))
+    eq15 = measures(traj01, 0.1)[2]
     q = math.exp(-math.pi * 0.1 / kappa(Lorentzian(1.0, 0.1)))
     xs = q ** np.arange(1, 400)
     oracle = float(np.sum(xs * np.sqrt(2.0 - 2.0 * xs**2 + xs**4)))

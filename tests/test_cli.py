@@ -21,7 +21,7 @@ from nonmarkov.dynamics import (
     population_excited,
     trace_distance_two,
 )
-from nonmarkov.measure import _population_measures
+from nonmarkov.measure import population_measures
 from nonmarkov.reservoir import Lorentzian, kappa
 from pair_reference import pair_distance
 
@@ -811,7 +811,7 @@ class TestStepCap:
         solver = cli.RunConfig(width_ratio=0.1).build_solver(model)
         tracemalloc.start()
         try:
-            reports = _population_measures(population_excited(compute_trajectory(model, solver)))
+            reports = population_measures(population_excited(compute_trajectory(model, solver)), model)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -957,6 +957,18 @@ class TestGridFreeMeasure:
         assert lines[0] == "sweep: 10 points, 0 on a grid, 1 workers"
         assert len(lines) == 11 and all(" no grid" in line for line in lines[1:])
         assert measure_text == quiet_measure and sweep_text == quiet_sweep
+
+    def test_grid_route_logs_its_search_and_clean_outputs(self, tmp_path, caplog):
+        ini = tmp_path / "volterra.ini"
+        ini.write_text("[model]\nwidth_ratio = 1\n[solver]\nmethod = volterra\nt_max = 60\n")
+        _, quiet = run(tmp_path, "measure", "--config", str(ini))
+        caplog.set_level(logging.DEBUG, logger="nonmarkov")
+        _, text = run(tmp_path, "measure", "--config", str(ini))
+        lines = [r.getMessage() for r in caplog.records if r.name == "nonmarkov.measure"]
+        assert len(lines) == 1 and re.fullmatch(
+            r"measure: grid of 60001 samples, \d+ rising intervals found, 6 kept, "
+            r"tail 1\.29\d+e-09, exact geometric remainder", lines[0]), lines
+        assert text == quiet
 
     def test_sweep_logs_grid_points_and_workers(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
@@ -1193,3 +1205,30 @@ class TestTabulatedTinyStep:
     def test_small_step_still_runs(self, tmp_path):
         proc = self.run_tabulated(tmp_path, "1e-150")
         assert proc.returncode == EXIT_OK and proc.stderr == ""
+
+
+class TestDependencies:
+    def test_package_loads_neither_scipy_nor_mpmath(self, tmp_path):
+        """The package depends on numpy alone: a run through every route loads no scipy or mpmath module."""
+        import os
+        import subprocess
+        import sys
+
+        ini = tmp_path / "volterra.ini"
+        ini.write_text("[model]\nwidth_ratio = 0.5\n[solver]\nmethod = volterra\ndt = 0.01\nt_max = 20\n")
+        script = (
+            "import sys\n"
+            "import nonmarkov, nonmarkov.cli\n"
+            "for argv in sys.argv[1:]:\n"
+            "    assert nonmarkov.cli.main(argv.split()) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath')))\n"
+        )
+        runs = [f"measure --width-ratio 0.5 --t-max 5 --out {tmp_path / 'closed.json'}",
+                f"measure --config {ini} --out {tmp_path / 'volterra.json'}",
+                f"simulate --width-ratio 0.5 --dt 0.01 --t-max 1 --out {tmp_path / 'sim.csv'}"]
+        env = {k: v for k, v in os.environ.items() if k != "NM_LOG"}
+        proc = subprocess.run([sys.executable, "-c", script, *runs], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert json.loads((tmp_path / "volterra.json").read_text())["n_single"]["extrema"]

@@ -30,17 +30,16 @@ from nonmarkov.dynamics import (
     population_excited,
     trace_distance_two,
 )
-from nonmarkov.errors import PhysicalityError
+from nonmarkov.errors import HorizonError, PhysicalityError
 from nonmarkov.measure import (
     TheoremVerification,
     brute_force_max,
     find_extrema,
-    lower_bound_two_from_population,
-    nonmarkovianity_from_population,
+    population_measures,
     sample_state_pairs,
     verify_theorem,
 )
-from nonmarkov.reservoir import Lorentzian, Regime, kappa
+from nonmarkov.reservoir import Lorentzian, OhmicFamily, Regime, Tabulated, classify_regime, kappa
 from pair_reference import pair_blp_sum, pair_distance, signal, sum_of_rises
 
 
@@ -55,14 +54,19 @@ def geometric_ratio(width):
     return math.exp(-math.pi * width / kappa(Lorentzian(1.0, width)))
 
 
-def single(traj):
+def measures(traj, model=None):
+    """(n_single, n_eg, n_two_lower) of b(t), read off its excited population, for `model`."""
+    return population_measures(population_excited(traj), model)
+
+
+def lorentzian_measures(width, dt=1e-3, t_max=None):
+    """The three measures of a resonant Lorentzian's closed form on a grid."""
+    return measures(lorentzian_trajectory(width, dt, t_max), Lorentzian(1.0, width))
+
+
+def single(traj, model=None):
     """The single-qubit measure of b(t), read off its excited population."""
-    return nonmarkovianity_from_population(population_excited(traj))
-
-
-def two(traj):
-    """The two-qubit lower bound of b(t), read off its excited population."""
-    return lower_bound_two_from_population(population_excited(traj))
+    return measures(traj, model)[0]
 
 
 class TestFindExtrema:
@@ -371,14 +375,13 @@ class TestBlp:
     def test_markovian_pair_total_zero(self):
         traj = lorentzian_trajectory(10.0, t_max=20.0)
         assert find_extrema(pair_distance(traj, EG_PAIR)) == []
-        _, report, _ = measure._population_measures(population_excited(traj))
+        _, report, _ = measures(traj, Lorentzian(1.0, 10.0))
         assert report.total == 0.0
         assert report.contributions == ()
         assert report.tail_bound == 0.0
 
     def test_excited_ground_geometric_total(self):
-        traj = lorentzian_trajectory(0.1)
-        _, report, _ = measure._population_measures(population_excited(traj))
+        _, report, _ = lorentzian_measures(0.1)
         q2 = geometric_ratio(0.1) ** 2
         # oracle: direct summation over the maxima ladder q^{2n}
         oracle = sum(q2**n for n in range(1, 40))
@@ -388,18 +391,18 @@ class TestBlp:
     def test_optimal_pair_equals_single_measure(self):
         traj = lorentzian_trajectory(0.1)
         blp = pair_blp_sum(traj, optimal_pair())
-        assert blp == pytest.approx(single(traj).total, abs=1e-8)
+        assert blp == pytest.approx(single(traj, Lorentzian(1.0, 0.1)).total, abs=1e-8)
         assert blp == pytest.approx(0.9470, abs=1e-3)
 
     def test_total_is_sum_of_contributions(self):
-        report = single(lorentzian_trajectory(0.3))
+        report = lorentzian_measures(0.3)[0]
         assert report.total == pytest.approx(math.fsum(report.contributions), abs=1e-12)
         assert all(c >= 0 for c in report.contributions)
 
 
 class TestSingleMeasure:
     def test_geometric_value_wide(self):
-        report = single(lorentzian_trajectory(0.1))
+        report = lorentzian_measures(0.1)[0]
         q = geometric_ratio(0.1)
         assert report.total == pytest.approx(q / (1 - q), abs=1e-3)
         assert report.closed_form_total == pytest.approx(q / (1 - q), abs=1e-12)
@@ -407,18 +410,18 @@ class TestSingleMeasure:
         assert report.kappa == pytest.approx(np.sqrt(0.19), abs=1e-12)
 
     def test_geometric_value_equal_rates(self):
-        report = single(lorentzian_trajectory(1.0))
+        report = lorentzian_measures(1.0)[0]
         assert report.total == pytest.approx(1.0 / (math.exp(math.pi) - 1.0), abs=1e-4)
 
     def test_markovian_and_critical_zero(self):
         for width in (2.0, 5.0, 10.0):
-            report = single(lorentzian_trajectory(width, t_max=60.0))
+            report = lorentzian_measures(width, t_max=60.0)[0]
             assert report.total == 0.0
             assert len(report.contributions) == 0
 
     def test_tail_bound_overestimates_remainder(self):
         for width in (0.1, 0.5, 1.0):
-            report = single(lorentzian_trajectory(width))
+            report = lorentzian_measures(width)[0]
             q = geometric_ratio(width)
             omitted = q / (1 - q) - report.total
             assert report.tail_bound >= omitted > 0
@@ -428,7 +431,8 @@ class TestSingleMeasure:
         # At t_max 60 the envelope is still 0.055: the first four maxima are
         # summed and the tail covers the rest, on either grid.
         cfg = SolverConfig(dt=1e-3, t_max=60.0, method=method)
-        report = single(compute_trajectory(Lorentzian(1.0, 0.1), cfg))
+        model = Lorentzian(1.0, 0.1)
+        report = single(compute_trajectory(model, cfg), model)
         assert len(report.intervals) == 4
         assert 0.0 <= report.closed_form_total - report.total <= report.tail_bound
 
@@ -438,25 +442,25 @@ class TestSingleMeasure:
         traj = lorentzian_trajectory(0.1)
         values = 0.5 * np.abs(traj.values) + 0.4
         values[0] = 1.0
-        lifted = AmplitudeTrajectory(dt=traj.dt, values=values, lorentzian=traj.lorentzian)
-        report = single(lifted)
+        model = Lorentzian(1.0, 0.1)
+        lifted = AmplitudeTrajectory(dt=traj.dt, values=values)
+        report = single(lifted, model)
         assert all(abs(iv.value_at_min - 0.16) <= 1e-8 for iv in report.intervals)
         assert report.contributions == tuple(
             math.sqrt(iv.value_at_max) - math.sqrt(iv.value_at_min) for iv in report.intervals)
-        assert report.total == pytest.approx(0.5 * single(traj).total, abs=1e-8)
+        assert report.total == pytest.approx(0.5 * single(traj, model).total, abs=1e-8)
 
 
 class TestPopulationMeasure:
     def test_matches_amplitude_route(self):
         # |b| searched by itself: its minima are refined on |b|, not on |b|^2.
         traj = lorentzian_trajectory(0.1)
-        p = nonmarkovianity_from_population(population_excited(traj))
+        p = single(traj, Lorentzian(1.0, 0.1))
         assert abs(pair_blp_sum(traj, optimal_pair()) - p.total) <= 1e-9
 
     def test_half_width_value(self):
         # Independently derived: kappa = sqrt(3)/2, total = 1/(e^{pi G/k} - 1).
-        traj = lorentzian_trajectory(0.5)
-        report = nonmarkovianity_from_population(population_excited(traj))
+        report = lorentzian_measures(0.5)[0]
         q = geometric_ratio(0.5)
         oracle = sum(q**n for n in range(1, 60))
         assert report.total == pytest.approx(oracle, abs=1e-6)
@@ -465,30 +469,29 @@ class TestPopulationMeasure:
     def test_amplitude_above_one_within_slack(self):
         values = lorentzian_trajectory(1.0).values.copy()
         values[1] = 1.0 + 9e-9  # AmplitudeTrajectory accepts up to 1 + 1e-8
-        traj = AmplitudeTrajectory(dt=1e-3, values=values, lorentzian=Lorentzian(1.0, 1.0))
+        traj = AmplitudeTrajectory(dt=1e-3, values=values)
         pop = population_excited(traj)
         assert pop.values.max() == 1.0
-        report = nonmarkovianity_from_population(pop)
-        assert abs(report.total - single(lorentzian_trajectory(1.0)).total) <= 1e-9
+        report = population_measures(pop, Lorentzian(1.0, 1.0))[0]
+        assert abs(report.total - lorentzian_measures(1.0)[0].total) <= 1e-9
 
     def test_eg_pair_above_one_within_slack(self):
         clean = lorentzian_trajectory(1.0)
         values = clean.values.copy()
         values[1] = 1.0 + 9e-9
-        traj = AmplitudeTrajectory(dt=1e-3, values=values, lorentzian=Lorentzian(1.0, 1.0))
+        traj = AmplitudeTrajectory(dt=1e-3, values=values)
         eg_pair = StatePair(excited_state(), ground_state())
         assert abs(pair_blp_sum(traj, eg_pair) - pair_blp_sum(clean, eg_pair)) <= 1e-9
 
     def test_constant_population_zero(self):
         sig = ScalarTrajectory(dt=0.1, values=np.ones(100))
-        report = nonmarkovianity_from_population(sig)
+        report = population_measures(sig)[0]
         assert report.total == 0.0
 
 
 class TestTwoQubitLowerBound:
     def test_term_by_term_oracle(self):
-        traj = lorentzian_trajectory(0.1)
-        report = two(traj)
+        report = lorentzian_measures(0.1)[2]
         q = geometric_ratio(0.1)
         xs = q ** np.arange(1, 200)
         oracle = float(np.sum(xs * np.sqrt(2.0 - 2.0 * xs**2 + xs**4)))
@@ -496,8 +499,7 @@ class TestTwoQubitLowerBound:
         assert report.total == pytest.approx(1.2529, abs=1e-3)
 
     def test_first_contribution(self):
-        traj = lorentzian_trajectory(0.1)
-        report = two(traj)
+        report = lorentzian_measures(0.1)[2]
         x = geometric_ratio(0.1)
         assert report.contributions[0] == pytest.approx(
             x * math.sqrt(2 - 2 * x * x + x**4), abs=1e-8
@@ -508,11 +510,11 @@ class TestTwoQubitLowerBound:
         # The |++>/|--> distance searched by itself, against the population form.
         traj = lorentzian_trajectory(0.1)
         a = sum_of_rises(signal(traj, trace_distance_two(traj.values)))
-        p = lower_bound_two_from_population(population_excited(traj))
+        p = measures(traj, Lorentzian(1.0, 0.1))[2]
         assert abs(a - p.total) <= 1e-9
 
     def test_markovian_zero(self):
-        report = two(lorentzian_trajectory(5.0, t_max=60.0))
+        report = lorentzian_measures(5.0, t_max=60.0)[2]
         assert report.total == 0.0
 
 
@@ -536,7 +538,7 @@ class TestNonvanishingMinima:
     @pytest.mark.parametrize("detuning", [0.3, 1.0])
     def test_detuned_lorentzian_equals_per_pair_sums(self, detuning):
         traj = detuned_trajectory(detuning)
-        reports = measure._population_measures(population_excited(traj))
+        reports = measures(traj)
         assert min(iv.value_at_min for iv in reports[0].intervals) > 0.05
         for report, want in zip(reports, per_pair_sums(traj)):
             assert abs(report.total - want) <= 1e-9
@@ -549,7 +551,7 @@ class TestNonvanishingMinima:
         # about 1e-9 per extremum, so over six intervals the sums searched on
         # each agree to 1e-8 (2.6e-9 and 4.2e-9 seen).
         traj = decayed(raised_minima_trajectory())
-        reports = measure._population_measures(population_excited(traj))
+        reports = measures(traj)
         assert min(iv.value_at_min for iv in reports[0].intervals) > 0.04
         for report, want in zip(reports, per_pair_sums(traj)):
             assert abs(report.total - want) <= 1e-8
@@ -562,8 +564,74 @@ class TestNonvanishingMinima:
         # refined minima are not those of |b|^2, so the other pairs' sums
         # searched on their own signals differ at dt = 0.01.
         traj = decayed(random_trajectory(seed))
-        _, n_eg, _ = measure._population_measures(population_excited(traj))
+        _, n_eg, _ = measures(traj)
         assert abs(n_eg.total - per_pair_sums(traj)[1]) <= 1e-9
+
+
+OHMIC = OhmicFamily(coupling=0.1, exponent=1.0, cutoff=1.0, qubit_frequency=1.0)
+
+
+def gaussian_table():
+    """A Gaussian spectrum of weight 7.5 and width 3 centred on the qubit frequency 100."""
+    w = np.linspace(0.0, 200.0, 1000)
+    j = 7.5 / (math.sqrt(2.0 * math.pi) * 3.0) * np.exp(-0.5 * ((w - 100.0) / 3.0) ** 2)
+    return Tabulated(points=np.column_stack([w, j]), qubit_frequency=100.0)
+
+
+class TestModelArgument:
+    """`population_measures` reads its model only where that is a resonant Lorentzian."""
+
+    @pytest.mark.parametrize("model, solver", [
+        (Lorentzian(1.0, 0.1, 0.3), SolverConfig(dt=0.01, t_max=default_horizon(1.0, 0.1, 0.3))),
+        (OHMIC, SolverConfig(dt=0.01, t_max=100.0, method=Method.VOLTERRA)),
+        (gaussian_table(), SolverConfig(dt=0.01, t_max=10.0, method=Method.VOLTERRA)),
+    ], ids=["detuned", "ohmic", "tabulated"])
+    def test_other_models_report_as_no_model(self, model, solver):
+        p = population_excited(compute_trajectory(model, solver))
+        reports = population_measures(p, model)
+        assert reports == population_measures(p)
+        for report in reports:
+            assert report.intervals and report.regime is None and report.kappa is None
+            assert report.closed_form_total is None
+
+    @pytest.mark.parametrize("model", [None, Lorentzian(1.0, 0.1, 0.3), OHMIC],
+                             ids=["none", "detuned", "ohmic"])
+    def test_other_models_keep_the_trailing_check(self, model):
+        # |b| still oscillates near 0.6 at the horizon, and no model bounds what follows.
+        p = population_excited(raised_minima_trajectory())
+        with pytest.raises(HorizonError) as err:
+            population_measures(p, model)
+        assert str(err.value) == (
+            "signal still reaches 6.208e-01 over the last 5% of the horizon; extend t_max")
+
+    @pytest.mark.parametrize("width", [2.0, 5.0])
+    def test_resonant_markovian_model_reports_exact_zeros(self, width):
+        # At t_max 5 |b| is still above 1e-2, and P falls without a rise.
+        model = Lorentzian(1.0, width)
+        for report in lorentzian_measures(width, t_max=5.0):
+            assert report.regime is classify_regime(model) is not Regime.NON_MARKOVIAN
+            assert report.kappa == kappa(model)
+            assert report.total == report.tail_bound == 0.0 and report.intervals == ()
+            assert report.closed_form_total is None
+
+    def test_resonant_markovian_model_skips_the_trailing_check(self):
+        p = population_excited(raised_minima_trajectory())
+        reports = population_measures(p, Lorentzian(1.0, 5.0))
+        assert reports[0].regime is Regime.MARKOVIAN and len(reports[0].intervals) == 9
+
+    @pytest.mark.parametrize("route, line", [
+        (lambda: lorentzian_measures(0.1, t_max=60.0),
+         r"measure: grid of 60001 samples, 4 rising intervals found, 4 kept, "
+         r"tail 0\.0530060697\d+, exact geometric remainder"),
+        (lambda: measures(detuned_trajectory(0.3)),
+         r"measure: grid of 89306 samples, 3 rising intervals found, 3 kept, "
+         r"tail 3\.605\d+e-05, estimate"),
+    ], ids=["resonant", "detuned"])
+    def test_one_debug_line(self, caplog, route, line):
+        with caplog.at_level(logging.DEBUG, logger="nonmarkov.measure"):
+            route()
+        lines = [r.getMessage() for r in caplog.records if r.name == "nonmarkov.measure"]
+        assert len(lines) == 1 and re.fullmatch(line, lines[0]), lines
 
 
 class TestMonotonicityAcrossWidths:
@@ -571,7 +639,7 @@ class TestMonotonicityAcrossWidths:
         totals, eg_totals = [], []
         for width in np.linspace(0.1, 1.0, 10):
             traj = lorentzian_trajectory(float(width))
-            totals.append(single(traj).total)
+            totals.append(single(traj, Lorentzian(1.0, float(width))).total)
             eg_totals.append(pair_blp_sum(traj, EG_PAIR))
         assert np.all(np.diff(totals) < 0)
         assert all(eg < full for eg, full in zip(eg_totals, totals))
@@ -892,7 +960,7 @@ class TestBruteForce:
 
     def test_converges_to_single_measure(self):
         traj = lorentzian_trajectory(0.1)
-        n_single = single(traj)
+        n_single = single(traj, Lorentzian(1.0, 0.1))
         result = brute_force_max(traj, grid_density=21)
         assert result.best_total <= n_single.total + 1e-6
         assert abs(result.best_total - n_single.total) < 1e-3
@@ -992,7 +1060,7 @@ class TestBruteForce:
     def test_resonant_total_within_tail_bound(self, width):
         # n_single stops at the envelope cutoff; the search keeps every interval.
         traj = lorentzian_trajectory(width)
-        n_single = single(traj)
+        n_single = single(traj, Lorentzian(1.0, width))
         assert abs(brute_force_max(traj, grid_density=21).best_total - n_single.total) <= n_single.tail_bound
 
     def test_scores_zero_and_nonzero_minima(self):
@@ -1071,7 +1139,7 @@ class TestResonantMeasures:
     @pytest.mark.parametrize("dt", (1e-3, 5e-4))
     def test_grid_route_agrees(self, width, dt):
         exact = resonant(width)
-        grid = measure._population_measures(population_excited(lorentzian_trajectory(width, dt)))
+        grid = lorentzian_measures(width, dt)
         for a, b in zip(exact, grid):
             assert len(a.intervals) == len(b.intervals)
             assert abs(a.total - b.total) <= 1e-11
@@ -1082,8 +1150,7 @@ class TestResonantMeasures:
         # Both routes keep a maximum by `_kept_maxima`, at short horizons too.
         exact = resonant(width, t_max)
         horizon = exact[0].horizon
-        grid = measure._population_measures(
-            population_excited(lorentzian_trajectory(width, t_max=horizon)))
+        grid = lorentzian_measures(width, t_max=horizon)
         for a, b in zip(exact, grid):
             assert len(a.intervals) == len(b.intervals) > 0
             assert abs(a.total - b.total) <= 1e-11
@@ -1146,7 +1213,7 @@ class TestResonantMeasures:
 
 class TestReportSerialization:
     def test_json_fields(self):
-        report = single(lorentzian_trajectory(0.5))
+        report = lorentzian_measures(0.5)[0]
         data = report.to_dict()
         for key in ("regime", "kappa", "extrema", "contributions", "total", "tail_bound"):
             assert key in data
