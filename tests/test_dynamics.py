@@ -27,6 +27,13 @@ from nonmarkov.dynamics import (
 from nonmarkov.errors import PhysicalityError
 from nonmarkov.linalg import DensityMatrix, kron, trace_distance, wootters_concurrence
 from nonmarkov.measure import sample_state_pairs
+from matrix_reference import (
+    outcome,
+    reference_density_matrix,
+    reference_product,
+    reference_trace_distance,
+    same_outcome,
+)
 from pair_reference import pair_distance
 
 FIRST_MAX_AMPLITUDE = float(np.exp(-np.pi * 0.1 / np.sqrt(0.19)))  # width ratio 0.1
@@ -48,6 +55,29 @@ def kraus_oracle_two(rho4, b):
             op = np.kron(ki, kj)
             out += op @ rho4 @ op.conj().T
     return out
+
+
+def reference_evolved(state, b):
+    """The channel's raw 2x2 output, formed as before with numpy scalars."""
+    x = np.abs(b)
+    pop = state.alpha * np.minimum(x * x, 1.0)
+    coh = state.beta * complex(b)
+    return np.array([[pop, coh], [np.conj(coh), 1.0 - pop]], dtype=complex)
+
+
+def reference_joint(rho, b):
+    """The four Kraus products on a joint 4x4 input, through the reference constructor."""
+    x = np.abs(b)
+    k = np.array([[[b, 0.0], [0.0, 1.0]], [[0.0, 0.0], [np.sqrt(1.0 - np.minimum(x * x, 1.0)), 0.0]]],
+                 dtype=complex)
+    ops = (k[:, None, :, None, :, None] * k[None, :, None, :, None, :]).reshape(4, 4, 4)
+    return reference_density_matrix((ops @ rho @ ops.conj().transpose(0, 2, 1)).sum(axis=0))
+
+
+def random_amplitudes(rng, n):
+    bs = rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(size=n))
+    bs[:3] = (1.0, 0.0, (1.0 + 9e-9) * np.exp(0.3j))
+    return bs
 
 
 def random_states(rng, n):
@@ -107,6 +137,16 @@ class TestEvolveSingle:
     def test_rejects_oversized_amplitude(self):
         with pytest.raises(PhysicalityError):
             evolve_single(excited_state(), 1.0 + 1e-6)
+
+    def test_bits_equal_reference_route(self):
+        # 2000 pairs at complex b: each stored state, and the pair's trace distance.
+        rng = np.random.default_rng(27)
+        states, bs = random_states(rng, 4000), random_amplitudes(rng, 2000)
+        for first, second, b in zip(states[::2], states[1::2], bs):
+            want = [reference_density_matrix(reference_evolved(s, b)) for s in (first, second)]
+            got = [evolve_single(s, b) for s in (first, second)]
+            assert np.array_equal(got[0].matrix, want[0]) and np.array_equal(got[1].matrix, want[1])
+            assert trace_distance(*got) == reference_trace_distance(*want)
 
 
 class TestTraceDistanceSingle:
@@ -238,6 +278,34 @@ class TestTwoQubit:
             assert np.array_equal(evolve_two_qubit(first, second, b).matrix, old.matrix)
 
 
+class TestReferenceRoutes:
+    def test_product_bits_equal_reference_route(self):
+        # 2000 product inputs at complex b, and the distance of (a, c) from (c, a).
+        rng = np.random.default_rng(28)
+        states, bs = random_states(rng, 4000), random_amplitudes(rng, 2000)
+        for first, second, b in zip(states[::2], states[1::2], bs):
+            raw = reference_evolved(first, b), reference_evolved(second, b)
+            want = reference_product(*raw), reference_product(*raw[::-1])
+            got = evolve_two_qubit(first, second, b), evolve_two_qubit(second, first, b)
+            assert np.array_equal(got[0].matrix, want[0]) and np.array_equal(got[1].matrix, want[1])
+            assert trace_distance(*got) == reference_trace_distance(*want)
+
+    def test_bell_bits_equal_reference_route(self):
+        # 2000 Bell inputs at complex b, |Psi> and |Phi> in turn, and the distance between them.
+        # Above |b| = 1 the Kraus pair is not trace preserving, and both routes reject the output.
+        rng = np.random.default_rng(29)
+        bells = [bell_psi(), bell_phi()]
+        refs = [reference_density_matrix(rho.matrix) for rho in bells]
+        assert all(np.array_equal(rho.matrix, ref) for rho, ref in zip(bells, refs))
+        for b in random_amplitudes(rng, 1000):
+            got = [outcome(lambda r: evolve_two_qubit(r, None, b).matrix, rho) for rho in bells]
+            want = [outcome(reference_joint, ref, b) for ref in refs]
+            assert same_outcome(got[0], want[0]) and same_outcome(got[1], want[1])
+            if abs(b) <= 1.0:
+                assert trace_distance(*(evolve_two_qubit(rho, None, b) for rho in bells)) == (
+                    reference_trace_distance(*want))
+
+
 class TestTraceDistanceTwo:
     def test_endpoints(self):
         assert trace_distance_two(1.0) == pytest.approx(1.0, abs=1e-15)
@@ -317,4 +385,30 @@ class TestBroadcasting:
     def test_array_rejected_beyond_slack(self):
         with pytest.raises(PhysicalityError, match="exceeds 1"):
             trace_distance_two(np.array([0.5, 1.0 + 1e-6, 0.2]))
+
+    @pytest.mark.parametrize(
+        "route",
+        [lambda b: trace_distance_single(TestBroadcasting.PAIR, b), trace_distance_two, concurrence_bell,
+         lambda b: evolve_single(plus_state(), b), lambda b: evolve_two_qubit(plus_state(), minus_state(), b),
+         lambda b: evolve_two_qubit(bell_psi(), None, b)],
+        ids=["single", "two", "concurrence", "evolve_single", "evolve_product", "evolve_joint"],
+    )
+    @pytest.mark.parametrize("b", [np.nan, complex(np.nan, 0.2), complex(0.3, np.inf), np.inf])
+    def test_non_finite_amplitude_rejected(self, route, b):
+        # The closed forms reject what their matrix oracles reject.
+        with pytest.raises(PhysicalityError):
+            route(b)
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [lambda b: trace_distance_single(TestBroadcasting.PAIR, b), trace_distance_two, concurrence_bell],
+        ids=["single", "two", "concurrence"],
+    )
+    def test_array_with_nan_rejected(self, closed_form):
+        for bs in (np.array([0.5, np.nan, 0.2]), np.array([0.5j, complex(0.1, np.nan)])):
+            with pytest.raises(PhysicalityError, match="nan"):
+                closed_form(bs)
+
+    def test_empty_array_accepted(self):
+        assert trace_distance_two(np.array([])).shape == (0,)
 

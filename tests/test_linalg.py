@@ -7,10 +7,18 @@ from nonmarkov import constants
 from nonmarkov.errors import PhysicalityError
 from nonmarkov.linalg import (
     DensityMatrix,
+    _product_state,
     hermitian_eigenvalues,
     kron,
     trace_distance,
     wootters_concurrence,
+)
+from matrix_reference import (
+    outcome,
+    reference_density_matrix,
+    reference_product,
+    reference_trace_distance,
+    same_outcome,
 )
 
 
@@ -42,6 +50,43 @@ def perturbed_density(rng, dim):
     noise = rng.uniform(-1, 1, (dim, dim)) + 1j * rng.uniform(-1, 1, (dim, dim))
     noise[np.diag_indices(dim)] = 1j * noise.imag.diagonal()
     return random_density(rng, dim).matrix + 0.3 * constants.HERMITICITY_TOL * noise
+
+
+def random_unitary(rng, dim):
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return np.linalg.qr(z)[0]
+
+
+def with_spectrum(rng, eigenvalues):
+    """U diag(eigenvalues) U^H for a random unitary U: Hermitian within roundoff."""
+    u = random_unitary(rng, len(eigenvalues))
+    return (u * eigenvalues) @ u.conj().T
+
+
+def random_states(rng, dim, n):
+    """n inputs the constructor accepts: perturbed mixed states and pure states, alternating."""
+    return [perturbed_density(rng, dim) if i % 2 else
+            with_spectrum(rng, np.eye(dim)[rng.integers(dim)]) for i in range(n)]
+
+
+def rejected_inputs(rng, dim):
+    """One input per rejection class of the checked route, drawn at random."""
+    rho = random_density(rng, dim).matrix.copy()
+    i, j = rng.choice(dim, 2, replace=False)
+    bad = rho.copy()
+    bad[i, rng.integers(dim)] = (np.nan, np.inf, -np.inf, complex(0.1, np.nan))[rng.integers(4)]
+    skew = rho.copy()
+    skew[i, j] += 10 ** rng.uniform(-11, -1) * np.exp(2j * np.pi * rng.uniform())
+    skew[j, j] += 1j * 10 ** rng.uniform(-11, -1) * rng.integers(2)
+    s = 10 ** rng.uniform(-4, -0.5)  # far enough below the floor that 4 digits of it agree
+    negative = np.append(-s, rng.dirichlet(np.ones(dim - 1)) * (1.0 + s))
+    return {
+        "shape": rng.normal(size=(dim, dim + 1)) if rng.integers(2) else random_density(rng, 4).matrix[:3, :3],
+        "non-finite": bad,
+        "non-Hermitian": skew,
+        "trace": rho * (1.0 + rng.choice((-1, 1)) * 10 ** rng.uniform(-11.9, -1)),
+        "negative eigenvalue": with_spectrum(rng, negative),
+    }
 
 
 class TestHermitianEigenvalues:
@@ -112,6 +157,38 @@ class TestDensityMatrix:
             sym = 0.5 * (raw + raw.conj().T)
             assert np.array_equal(DensityMatrix(raw).eigenvalues(), hermitian_eigenvalues(sym))
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_stored_bits_equal_reference_route(self, dim):
+        # 2000 accepted inputs: the stored matrices and the trace distances of neighbours.
+        rng = np.random.default_rng(40 + dim)
+        raw = random_states(rng, dim, 2000)
+        got = [DensityMatrix(m) for m in raw]
+        want = [reference_density_matrix(m) for m in raw]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.matrix, w)
+        for k in range(len(raw) - 1):
+            assert trace_distance(got[k], got[k + 1]) == reference_trace_distance(want[k], want[k + 1])
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejections_equal_reference_route(self, dim):
+        # Each class the reference rejects raises the same PhysicalityError message.
+        rng = np.random.default_rng(50 + dim)
+        for _ in range(200):
+            for kind, m in rejected_inputs(rng, dim).items():
+                want = outcome(reference_density_matrix, m)
+                assert isinstance(want, str), kind
+                assert outcome(lambda x: DensityMatrix(x).matrix, m) == want, kind
+
+    def test_overflow_rejected_2x2(self):
+        # A diagonal whose symmetrization would overflow is no state; no warning is raised.
+        with pytest.raises(PhysicalityError):
+            DensityMatrix([[1e308, 0.0], [0.0, -1e308 + 1.0]])
+
+    def test_overflow_rejected_4x4(self):
+        # The NaN trace fails its gate before eigvalsh sees the matrix; numpy warns of the overflow.
+        with pytest.warns(RuntimeWarning), pytest.raises(PhysicalityError, match=r"trace \S*nan"):
+            DensityMatrix(np.diag([1e308, -1e308, 0.5, 0.5]).astype(complex))
+
     def test_tiny_negative_eigenvalue_tolerated(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
         assert rho.dim == 2
@@ -175,6 +252,43 @@ class TestTraceDistance:
             assert trace_distance(ua, ub) == pytest.approx(
                 trace_distance(a, b), abs=1e-10
             )
+
+
+class TestProductState:
+    def test_stored_bits_equal_reference_route(self):
+        # Exactly Hermitian factors, as the channel makes them: 2000 products.
+        rng = np.random.default_rng(60)
+        factors = [DensityMatrix(m).matrix for m in random_states(rng, 2, 4000)]
+        pairs = list(zip(factors[::2], factors[1::2]))
+        got = [_product_state(a, b) for a, b in pairs]
+        want = [reference_product(a, b) for a, b in pairs]
+        for g, w in zip(got, want):
+            assert np.array_equal(g.matrix, w)
+        for k in range(len(pairs) - 1):
+            assert trace_distance(got[k], got[k + 1]) == reference_trace_distance(want[k], want[k + 1])
+
+    def test_rejections_equal_reference_route(self):
+        # One rejected factor beside an accepted one, in either place.
+        rng = np.random.default_rng(61)
+        rejected = 0
+        for _ in range(200):
+            good = random_density(rng, 2).matrix
+            for kind, m in rejected_inputs(rng, 2).items():
+                for a, b in ((m, good), (good, m)):
+                    want = outcome(reference_product, a, b)
+                    rejected += isinstance(want, str)
+                    assert same_outcome(outcome(lambda x, y: _product_state(x, y).matrix, a, b), want), kind
+        assert rejected >= 1800
+
+    def test_product_trace_checked(self):
+        # Each factor's trace within tolerance, the product's beyond it.
+        rng = np.random.default_rng(62)
+        for _ in range(200):
+            u = rng.choice((-1, 1)) * rng.uniform(0.55, 1.0) * constants.TRACE_TOL
+            a, b = (DensityMatrix(m).matrix * (1.0 + u) for m in random_states(rng, 2, 2))
+            want = outcome(reference_product, a, b)
+            assert want.startswith("trace ")
+            assert outcome(lambda x, y: _product_state(x, y).matrix, a, b) == want
 
 
 class TestKron:
