@@ -71,10 +71,8 @@ _READS = {
     "verify": {"model": _MODEL, "solver": _SOLVER, "run": {"seed", "samples"}},
 }
 
-# simulate writes its CSV this many rows at a time, and formats the cells of
-# a quarter block at a time, so that the formatter's temporaries stay small.
-_CSV_BLOCK = 4096
-_CELL_ROWS = 1024
+# simulate computes, formats and writes its CSV this many rows at a time.
+_CSV_BLOCK = 1024
 
 
 @dataclass
@@ -264,11 +262,6 @@ def _check_output_dir(path) -> None:
         raise ConfigError(f"cannot write output {path!r}: {parent!r} is not a directory")
 
 
-def _write(path, text: str) -> None:
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def _write_json(path, payload: dict) -> None:
     """`payload` as indented JSON and a newline, streamed: the whole text is never held."""
     with _output(path) as fh:
@@ -412,51 +405,53 @@ def _mapped(shape: tuple, dtype) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
 
 
-def _write_signal_rows(fh, t, b, abs_b, pop, d_two, conc_phi) -> tuple[int, int]:
-    """Write the simulate CSV rows block by block; each distinct column is formatted once.
+def _signal_blocks(traj: AmplitudeTrajectory):
+    """Each `_CSV_BLOCK` rows' seven distinct CSV columns, elementwise from their samples of b."""
+    b = traj.values
+    for lo in range(0, b.size, _CSV_BLOCK):
+        part = b[lo:lo + _CSV_BLOCK]
+        pop, conc_phi = concurrence_bell(part)
+        yield (traj.dt * np.arange(lo, lo + part.size), part.real, part.imag, np.abs(part), pop,
+               trace_distance_two(part), conc_phi)
 
-    Each block's rows are fixed-width, NUL-padded bytes, which one
-    `translate` per block turns into CSV text. The buffers are sized for
-    one block, so memory does not grow with the row count. They are
-    memory maps, outside the malloc heap: allocated from the heap, like
-    whole-block formatter temporaries, they changed its layout so that a
-    later 31 MB array of the same process was mapped on top of a grown
-    heap, and the closed_form benchmark's peak RSS read 123 MB instead of
-    112 MB. Returns the bytes written and the cells Python formatted.
+
+def _write_rows(fh, blocks) -> tuple[int, int]:
+    """Write blocks of seven distinct columns to the binary stream `fh` as CSV rows.
+
+    A block, at most `_CSV_BLOCK` rows in `_signal_blocks`' column order, is
+    formatted once into NUL-padded cells, which one `translate` turns into
+    the bytes of one write. The buffers are memory maps: from the malloc
+    heap, they moved a later 31 MB array of the process on top of a grown
+    heap, and the closed_form benchmark's peak RSS read 123 MB, not 112 MB.
+    Returns the bytes written and the cells Python formatted.
     """
-    columns = (t, b.real, b.imag, abs_b, pop, d_two, conc_phi)
-    block = _mapped((_CSV_BLOCK, len(columns)), np.float64)
-    cells = _mapped((_CSV_BLOCK, len(columns), 5), "<u8")
+    block = _mapped((_CSV_BLOCK, 7), np.float64)
+    cells = _mapped((_CSV_BLOCK, 7, 5), "<u8")
     rows = _mapped((_CSV_BLOCK, _CSV_FIELDS.size, 5), "<u8")
     tables = _cell_tables()
     written = slow = 0
-    for start in range(0, t.size, _CSV_BLOCK):
-        n = min(_CSV_BLOCK, t.size - start)
-        for j, col in enumerate(columns):
-            block[:n, j] = col[start:start + n]
-        for part in range(0, n, _CELL_ROWS):
-            end = min(n, part + _CELL_ROWS)
-            slow += _format_cells(block[part:end], cells[part:end], tables)
+    for columns in blocks:
+        n = columns[0].size
+        np.stack(columns, axis=1, out=block[:n])
+        slow += _format_cells(block[:n], cells[:n], tables)
         np.take(cells[:n], _CSV_FIELDS, axis=1, out=rows[:n], mode="clip")
         rows[:n, :, 4] |= _CSV_ENDS
         text = rows[:n].tobytes().translate(None, b"\0")
-        fh.write(text.decode("ascii"))
+        fh.write(text)
         written += len(text)
     return written, slow
 
 
 def cmd_simulate(cfg: RunConfig, out) -> int:
+    """The CSV of b and its signals, a block at a time: b is the only array of the grid's length."""
     traj = cfg.trajectory()
-    b = traj.values
-    abs_b = np.abs(b)
-    pop, conc_phi = concurrence_bell(b)
     header = "t,re_b,im_b,abs_b,pop_e,d_opt,d_eg,d_two,conc_psi,conc_phi\n"
     with _output(out) as fh:
         fh.write(header)
-        written, slow = _write_signal_rows(fh, traj.times(), b, abs_b, pop,
-                                           trace_distance_two(b), conc_phi)
+        fh.flush()  # the rows go to the binary stream beneath
+        written, slow = _write_rows(fh.buffer, _signal_blocks(traj))
     log.debug("simulate: %d rows, %d bytes written, %d of %d cells formatted by Python",
-              b.size, len(header) + written, slow, 7 * b.size)
+              traj.values.size, len(header) + written, slow, 7 * traj.values.size)
     return EXIT_OK
 
 
@@ -516,7 +511,8 @@ def cmd_sweep(cfg: RunConfig, args, out) -> int:
             rows = list(pool.map(_sweep_point, points))
     else:
         rows = [_sweep_point(p) for p in points]
-    _write(out, "\n".join(["width_ratio,kappa,regime,n_single,n_eg,n_two_lower", *rows]) + "\n")
+    with _output(out) as fh:
+        fh.write("\n".join(["width_ratio,kappa,regime,n_single,n_eg,n_two_lower", *rows]) + "\n")
     return EXIT_OK
 
 

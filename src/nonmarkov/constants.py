@@ -20,7 +20,7 @@ AMPLITUDE_INSTABILITY_SLACK = 1e-6  # solver aborts past 1 + this
 # Largest step count round(t_max/dt) of a grid the CLI builds: a 2 GiB budget
 # at 256 bytes per step (a Volterra `measure` at 2^17 steps peaks at 147 bytes
 # per step on an Ohmic spectrum, 80 on a resonant Lorentzian; the closed-form
-# resonant chain at 17, which only `simulate`, `verify` and the library build).
+# chain of `verify` and the library at 17; `simulate` at 8, 16 for a complex b).
 MAX_STEPS = 2**31 // 256
 
 # Largest number of extrema (rising intervals) a grid-free resonant-Lorentzian

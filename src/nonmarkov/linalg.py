@@ -31,6 +31,8 @@ from .errors import PhysicalityError
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
+# The largest |entry| whose parts a - a^H and a + a^H cannot overflow: 2**1023 less an ulp.
+_SUMMABLE = math.nextafter(2.0**1023, 0.0)
 
 
 def _as_square(m) -> np.ndarray:
@@ -47,16 +49,18 @@ def _as_complex_matrix(m) -> np.ndarray:
     return a
 
 
-def _check_hermitian(a: np.ndarray) -> np.ndarray:
+def _check_hermitian(a: np.ndarray, limit: float = math.inf) -> np.ndarray:
     """Return a^H, raising unless `a` is Hermitian within the shared tolerance.
 
-    `eigvalsh` reads one triangle only, so this test is what keeps a
-    non-Hermitian input from passing silently.
+    `eigvalsh` reads one triangle only, so this test keeps a non-Hermitian
+    input from passing silently; an entry above `limit` in magnitude fails first.
     """
     ah = a.conj().T
     if a.size:
-        dev = np.abs(a - ah).max()
-        _check_deviation(dev, float(np.abs(a).max()))
+        largest = float(np.abs(a).max())
+        if largest > limit:
+            raise PhysicalityError(f"entry of magnitude {largest:.3e} is too large for a state")
+        _check_deviation(np.abs(a - ah).max(), largest)
     return ah
 
 
@@ -129,7 +133,7 @@ class DensityMatrix:
             a = _as_complex_matrix(a)
             if a.shape[0] != 4:
                 raise PhysicalityError(f"only 2x2 and 4x4 states supported, got {a.shape}")
-            sym = 0.5 * (a + _check_hermitian(a))
+            sym = 0.5 * (a + _check_hermitian(a, _SUMMABLE))
             _check_trace(sym.trace().real)
             _check_lowest(np.linalg.eigvalsh(sym)[0])
         self._store(sym)

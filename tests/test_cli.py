@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nonmarkov import cli, constants
-from nonmarkov.amplitude import Method, compute_trajectory, lorentzian_min_times
+from nonmarkov.amplitude import AmplitudeTrajectory, Method, compute_trajectory, lorentzian_min_times
 from nonmarkov.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VERIFICATION, main
 from nonmarkov.dynamics import (
     StatePair,
@@ -69,13 +69,13 @@ def assert_same_text(got: str, want: str) -> None:
 
 
 class LineCounter:
-    """A write-only file that keeps the number of lines written and nothing else."""
+    """A write-only binary file that keeps the number of lines written and nothing else."""
 
     def __init__(self):
         self.lines = 0
 
-    def write(self, text):
-        self.lines += text.count("\n")
+    def write(self, data):
+        self.lines += data.count(b"\n")
 
 
 class TestSimulate:
@@ -123,6 +123,16 @@ class TestSimulate:
         assert b.size > 2 * cli._CSV_BLOCK and b.size % cli._CSV_BLOCK
         assert text.splitlines()[1:] == want
 
+    def test_stdout_matches_out_file(self, tmp_path, capfdbinary):
+        # The text header, then the rows through the binary stream beneath it.
+        argv = ["simulate", "--width-ratio", "0.1", "--t-max", "2.5"]
+        assert main(argv) == EXIT_OK
+        stdout = capfdbinary.readouterr().out
+        assert run(tmp_path, *argv)[0] == EXIT_OK
+        rows = stdout.count(b"\n") - 1
+        assert rows == 2501 and rows % cli._CSV_BLOCK  # two full blocks and a partial one
+        assert stdout == (tmp_path / "out.txt").read_bytes()
+
     def test_detuned_default_horizon_decays(self, tmp_path):
         # The slower pole decays at 0.0218, not at the resonant width/2 = 0.05.
         ini = tmp_path / "detuned.ini"
@@ -144,7 +154,8 @@ class TestSimulate:
 
 
 class TestBlockWriter:
-    @pytest.mark.parametrize("t_max, rows", [("4.094", 4095), ("4.095", 4096),
+    @pytest.mark.parametrize("t_max, rows", [("1.022", 1023), ("1.023", 1024), ("1.024", 1025),
+                                             ("2.048", 2049), ("4.094", 4095), ("4.095", 4096),
                                              ("4.096", 4097), ("8.192", 8193)])
     @pytest.mark.parametrize("model", ["resonant", "detuned"])
     def test_block_boundaries_match_per_cell_writer(self, tmp_path, model, t_max, rows):
@@ -189,12 +200,12 @@ class TestBlockWriter:
         values = np.concatenate([values, -values])
         # Each of the seven distinct columns sees the values in another order.
         cols = [np.roll(values, 997 * j) for j in range(7)]
-        b = np.empty(values.size, complex)
-        b.real, b.imag = cols[1], cols[2]
-        sink = io.StringIO()
-        cli._write_signal_rows(sink, cols[0], b, *cols[3:])
+        blocks = ([col[lo:lo + cli._CSV_BLOCK] for col in cols]
+                  for lo in range(0, values.size, cli._CSV_BLOCK))
+        sink = io.BytesIO()
+        cli._write_rows(sink, blocks)
         fields = [cols[j] for j in (0, 1, 2, 3, 4, 3, 4, 5, 4, 6)]
-        got = sink.getvalue().splitlines()
+        got = sink.getvalue().decode("ascii").splitlines()
         assert len(got) == values.size
         bad = [(i, line) for i, line in enumerate(got)
                if line != ",".join("%.12g" % f[i] for f in fields)]
@@ -204,13 +215,13 @@ class TestBlockWriter:
         rng = np.random.default_rng(3)
         for rows in (20_000, 200_000):
             b = rng.uniform(0, 1, rows) * np.exp(2j * np.pi * rng.uniform(size=rows))
-            pop, conc_phi = concurrence_bell(b)
-            columns = (1e-3 * np.arange(rows), b, np.abs(b), pop, trace_distance_two(b), conc_phi)
+            b[0] = 1.0
+            traj = AmplitudeTrajectory(dt=1e-3, values=b)
             sink = LineCounter()
-            # Allocations from here on are the writer's own; its input columns exist already.
+            # Allocations from here on are the signals' and the writer's; b exists already.
             tracemalloc.start()
             try:
-                cli._write_signal_rows(sink, *columns)
+                cli._write_rows(sink, cli._signal_blocks(traj))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

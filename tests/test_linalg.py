@@ -1,5 +1,8 @@
 """Tests for the small dense Hermitian linear algebra."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -185,9 +188,29 @@ class TestDensityMatrix:
             DensityMatrix([[1e308, 0.0], [0.0, -1e308 + 1.0]])
 
     def test_overflow_rejected_4x4(self):
-        # The NaN trace fails its gate before eigvalsh sees the matrix; numpy warns of the overflow.
-        with pytest.warns(RuntimeWarning), pytest.raises(PhysicalityError, match=r"trace \S*nan"):
-            DensityMatrix(np.diag([1e308, -1e308, 0.5, 0.5]).astype(complex))
+        # An entry whose double overflows is no state's; it is rejected before any sum, unwarned.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicalityError, match=r"^entry of magnitude 1\.000e\+308 is too"):
+                DensityMatrix(np.diag([1e308, -1e308, 0.5, 0.5]).astype(complex))
+
+    @pytest.mark.parametrize("skew", [1, -1])
+    @pytest.mark.parametrize("off, message", [
+        (1e308, r"^entry of magnitude 1\.000e\+308 is too large for a state$"),
+        (2.0**1023, r"^entry of magnitude 8\.988e\+307 is too large for a state$"),
+        # One ulp below 2**1023 neither a + a^H nor a - a^H overflows: the usual gates reject it.
+        (math.nextafter(2.0**1023, 0.0), r"^(negative eigenvalue -8\.988e\+307|matrix is not Hermitian)"),
+    ])
+    def test_overflowing_off_diagonal_rejected_4x4(self, off, message, skew):
+        # 0.25 on the diagonal passes the trace gate; (a + a^H)/2 would overflow at 1e308,
+        # and a - a^H too for a skew input. One PhysicalityError line, and no numpy warning.
+        a = np.full((4, 4), off, complex)
+        np.fill_diagonal(a, 0.25)
+        a[np.tril_indices(4, -1)] *= skew
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PhysicalityError, match=message):
+                DensityMatrix(a)
 
     def test_tiny_negative_eigenvalue_tolerated(self):
         rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]).astype(complex))
