@@ -24,9 +24,10 @@ resonant Lorentzian): O(N log N) in the step count, with no loop over steps.
 b(0) = 1, at least two samples and |b| <= 1 + AMPLITUDE_BOUND_SLACK. A
 real b stays float64, as the resonant closed form and the real-transform
 Volterra solve give it, at half the bytes of a complex one; a detuned or
-general-spectrum b is complex128. The public closed forms write b into
-one output array beside one temporary of its size; `compute_trajectory`
-writes them into b block by block, with temporaries of one block.
+general-spectrum b is complex128. One function, `_closed_form_into`,
+writes either closed form: `lorentzian_closed_form` beside one temporary
+of t's size, and `compute_trajectory` block by block, with temporaries of
+one block.
 """
 
 from __future__ import annotations
@@ -109,45 +110,73 @@ def lorentzian_closed_form(gamma0: float, width: float, t):
     width t/2 as kappa -> 0, so at kappa = 0 the same line is the critical
     exp(-width t/2)(1 + width t/2).
 
-    b is built in one output array beside one temporary of t's size. Each
-    step is an operation of these formulas on the operands they give it,
-    so the bits are those of evaluating them one whole array at a time.
+    b is built by `_closed_form_into` in one output array beside one
+    temporary of t's size.
     """
-    k = kappa(Lorentzian(gamma0=gamma0, width=width))  # Lorentzian checks both rates
+    model = Lorentzian(gamma0=gamma0, width=width)
     tt = np.asarray(t, dtype=float)
     if np.any(tt < 0):
         raise PhysicalityError("t must be nonnegative")
     out = np.empty(tt.shape)
-    _resonant_into(gamma0, width, k, tt, out, np.empty(tt.shape))
+    _closed_form_into(model, tt, out, np.empty(tt.shape), tt)
     return out if out.ndim else float(out)
 
 
-def _resonant_into(gamma0: float, width: float, k: float, tt: np.ndarray, out: np.ndarray,
-                   tmp: np.ndarray) -> None:
-    """`lorentzian_closed_form` at times tt >= 0, written into out; tmp, of tt's shape, is overwritten."""
-    if _oscillates(gamma0, width, k):
-        np.multiply(0.5 * k, tt, out=tmp)
-        np.sin(tmp, out=out)
-        out *= width / k
-        out += np.cos(tmp, out=tmp)
-        np.multiply(-0.5 * width, tt, out=tmp)
-    else:
-        with np.errstate(over="ignore"):  # kappa t = inf is exact: e^{-kappa t} = 0
-            np.multiply(k, tt, out=tmp)
-        np.negative(tmp, out=tmp)
-        # (1 - e^{-kappa t})/kappa, and its limit t at kappa = 0.
-        if k > 0.0:
-            np.negative(np.expm1(tmp, out=out), out=out)
-            out /= k
+def _closed_form_into(model: Lorentzian, tt: np.ndarray, out: np.ndarray, tmp: np.ndarray,
+                      t_end) -> None:
+    """The Lorentzian b at times tt >= 0, written into out; tmp, of out's shape and dtype, is overwritten.
+
+    At zero detuning out is real and holds `lorentzian_closed_form`. At any
+    other detuning out is complex: the Laplace transform of b is
+    (s + a)/(s^2 + a s + gamma0 width/2), with a = width - i detuning
+    (Breuer & Petruccione, sec. 10.1), so with the poles of `_poles`
+        b = [(s1 + a) e^{s1 t} - (s2 + a) e^{s2 t}]/d = e^{s1 t} [1 - s1 (1 - e^{-d t})/d],
+    as s2 + a = -s1. Re d >= 0, so e^{-d t} stays bounded, and
+    (1 - e^{-d t})/d comes from expm1: it does not cancel where s1 ~ s2, and
+    it is t where d = 0. Each step is an operation of these formulas on the
+    operands they give it, so the bits are those of evaluating them one
+    whole array at a time. t_end is the grid's last time (or the times),
+    named when the detuned phase overflows.
+    """
+    if model.detuning == 0.0:
+        gamma0, width, k = model.gamma0, model.width, kappa(model)
+        if _oscillates(gamma0, width, k):
+            np.multiply(0.5 * k, tt, out=tmp)
+            np.sin(tmp, out=out)
+            out *= width / k
+            out += np.cos(tmp, out=tmp)
+            np.multiply(-0.5 * width, tt, out=tmp)
         else:
-            out[...] = tt
-        out *= 0.5 * width
-        np.exp(tmp, out=tmp)
-        tmp += 1.0
-        tmp *= 0.5
-        out += tmp
-        np.multiply(-(gamma0 * width / (width + k)), tt, out=tmp)
-    out *= np.exp(tmp, out=tmp)
+            with np.errstate(over="ignore"):  # kappa t = inf is exact: e^{-kappa t} = 0
+                np.multiply(k, tt, out=tmp)
+            np.negative(tmp, out=tmp)
+            # (1 - e^{-kappa t})/kappa, and its limit t at kappa = 0.
+            if k > 0.0:
+                np.negative(np.expm1(tmp, out=out), out=out)
+                out /= k
+            else:
+                out[...] = tt
+            out *= 0.5 * width
+            np.exp(tmp, out=tmp)
+            tmp += 1.0
+            tmp *= 0.5
+            out += tmp
+            np.multiply(-(gamma0 * width / (width + k)), tt, out=tmp)
+        out *= np.exp(tmp, out=tmp)
+    else:
+        s1, d = _poles(model)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase d t is rejected below
+            if d != 0.0:
+                np.multiply(-d, tt, out=out)
+                np.negative(np.expm1(out, out=out), out=out)
+                out /= d
+            else:
+                out[...] = tt
+            np.multiply(s1, out, out=out)
+            np.subtract(1.0, out, out=out)
+            np.multiply(s1, tt, out=tmp)
+            np.multiply(np.exp(tmp, out=tmp), out, out=out)
+        _check_phase(model, out, t_end)
     out[tt == 0.0] = 1.0  # initial condition exact by definition
 
 
@@ -167,49 +196,6 @@ def _poles(model: Lorentzian) -> tuple[complex, complex]:
     r = cmath.sqrt(a * a - 2.0 * gamma0 * width / scale / scale)
     s2 = -0.5 * scale * (a + r)
     return 0.5 * gamma0 * width / s2, scale * r
-
-
-def _detuned_closed_form(model: Lorentzian, t) -> np.ndarray:
-    """Lorentzian b(t) at any detuning; array t, complex result.
-
-    The Laplace transform of b is (s + a)/(s^2 + a s + gamma0 width/2), with
-    a = width - i detuning (Breuer & Petruccione, The Theory of Open Quantum
-    Systems, sec. 10.1), so with the poles of `_poles`
-        b = [(s1 + a) e^{s1 t} - (s2 + a) e^{s2 t}]/d
-          = e^{s1 t} [1 + (s2 + a)(1 - e^{-d t})/d],
-    and s2 + a = -s1. Re d >= 0, so e^{-d t} stays bounded, and
-    (1 - e^{-d t})/d comes from expm1: it does not cancel where s1 ~ s2,
-    and it is t where d = 0. b is built in one complex output array beside
-    one complex temporary, each step an operation of these formulas on the
-    operands they give it, so the bits are those of evaluating them one
-    whole array at a time.
-    """
-    tt = np.asarray(t, dtype=float)
-    out = np.empty(tt.shape, dtype=complex)
-    _detuned_into(model, *_poles(model), tt, out, np.empty(tt.shape, dtype=complex), tt)
-    return out
-
-
-def _detuned_into(model: Lorentzian, s1: complex, d: complex, tt: np.ndarray, out: np.ndarray,
-                  tmp: np.ndarray, t_end) -> None:
-    """`_detuned_closed_form` at times tt, from the poles (s1, d), written into out.
-
-    tmp, complex and of tt's shape, is overwritten. t_end is the grid's last
-    time (or the times), named when the phase overflows.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase d t is rejected below
-        if d != 0.0:
-            np.multiply(-d, tt, out=out)
-            np.negative(np.expm1(out, out=out), out=out)
-            out /= d
-        else:
-            out[...] = tt
-        np.multiply(s1, out, out=out)
-        np.subtract(1.0, out, out=out)
-        np.multiply(s1, tt, out=tmp)
-        np.multiply(np.exp(tmp, out=tmp), out, out=out)
-    _check_phase(model, out, t_end)
-    out[tt == 0.0] = 1.0
 
 
 def lorentzian_min_times(gamma0: float, width: float, n_max: int) -> np.ndarray:
@@ -241,6 +227,14 @@ def amplitude_envelope(gamma0: float, width: float, t) -> np.ndarray:
     return np.exp(-0.5 * width * np.asarray(t, dtype=float)) * (1.0 + width / k)
 
 
+def _envelope_time(width: float, k: float, level: float) -> float:
+    """When `amplitude_envelope` falls to level: 2 ln((1 + width/kappa)/level)/width.
+
+    A Python float, so a subnormal width gives inf with no numpy warning.
+    """
+    return 2.0 * float(np.log((1.0 + width / k) / level)) / width
+
+
 def default_horizon(gamma0: float, width: float, detuning: float = 0.0) -> float:
     """Default t_max: long enough for measure truncation.
 
@@ -258,17 +252,15 @@ def default_horizon(gamma0: float, width: float, detuning: float = 0.0) -> float
     if classify_regime(model) is Regime.NON_MARKOVIAN:
         periods = 40.0 * np.pi / k
         # Aim halfway below the cutoff, so that the kept maxima and simulate's
-        # trajectory reach below it.
-        with np.errstate(over="ignore"):  # a subnormal width gives inf, which the caps reject
-            envelope = 2.0 * np.log(2.0 * (1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
-        return max(periods, envelope)
+        # trajectory reach below it; a subnormal width gives inf, which the caps reject.
+        return max(periods, _envelope_time(width, k, 0.5 * constants.ENVELOPE_CUTOFF))
     return 10.0 * (width + k) / (2.0 * gamma0 * width)
 
 
 def _detuned_horizon(model: Lorentzian) -> float:
     """The time past which a bound on |b| stays below ENVELOPE_CUTOFF/2, at any detuning.
 
-    In `_detuned_closed_form`, b = e^{s1 t} [1 - s1 E] with
+    In `_closed_form_into`, b = e^{s1 t} [1 - s1 E] with
     E = (1 - e^{-d t})/d = t int_0^1 e^{-d t u} du. Since Re d >= 0,
     |E| <= t and |E| <= 2/|d|, so for every t
         |b(t)| <= B(t) = e^{-r t} (1 + |s1| min(t, 2/|d|)),   r = -Re s1 > 0.
@@ -323,9 +315,11 @@ def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTraject
     P Q = 1, sharing P's transform. Every product is cyclic at the smallest
     even 5-smooth length at least hi: 9 transforms a block, 6 in the last,
     and O(N log N) in all. A real kernel (a resonant Lorentzian) keeps P, S, Q
-    and W real, and is solved with real transforms. Aborts with a numerical
-    failure at the first step where |b| leaves the unit disk by more than
-    the instability slack.
+    and W real, and is solved with real transforms. Aborts at the first step
+    where |b| leaves the unit disk by more than AMPLITUDE_BOUND_SLACK, the
+    bound of `AmplitudeTrajectory`: with a numerical failure, or with a
+    PhysicalityError where |b| is not finite because the correlation is too
+    large for the arithmetic.
     """
     if abs(f.dt - cfg.dt) > 1e-12 * cfg.dt:
         raise PhysicalityError(f"correlation sampled at dt={f.dt}, solver wants {cfg.dt}")
@@ -335,67 +329,71 @@ def solve_volterra(f: CorrelationSamples, cfg: SolverConfig) -> AmplitudeTraject
             f"correlation has {f.values.size} samples, need {n + 1} to cover t_max"
         )
     dt = cfg.dt
-    h = 0.5 * dt * dt
-    fv = f.values[: n + 1]
-    real = not fv.imag.any()
-    if real:
-        fv = fv.real
-    fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
-    f0, f1 = fv[0], fv[1]
-    b1 = (1.0 - 0.5 * h * f1) / (1.0 + 0.5 * h * f0)
-    # (1 + z) T: T is F with the Gregory end weights 5/12 and 13/12 folded in.
-    p = _times_one_plus_z(fv)
-    p[:3] = (5.0 * f0 / 12.0, 5.0 * f0 / 12.0 + 13.0 * f1 / 12.0, 13.0 * f1 / 12.0 + fv[2])
-    p *= h
-    p[0] += 1.0
-    p[1] -= 1.0
-    # S = h (1 + z) (7F/12 - b1 z F/12 - f0/6 - T/(1 - z)), where T/(1 - z)
-    # is the running sum of F less 7 f0/12 - f1/12 past its first term.
-    rhs = np.cumsum(fv)
-    rhs -= 7.0 * f0 / 12.0 - f1 / 12.0
-    np.subtract(7.0 / 12.0 * fv, rhs, out=rhs)
-    rhs[1:] -= b1 / 12.0 * fv[:-1]
-    rhs[0] = 0.0  # 7f0/12 - f0/6 - 5f0/12: zero, so W starts at 0
-    s = _times_one_plus_z(rhs)
-    s *= h
-    del rhs
+    # Overflow and NaN are not reported here: a b that is not finite fails its bound check.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        h = 0.5 * dt * dt
+        fv = f.values[: n + 1]
+        real = not fv.imag.any()
+        if real:
+            fv = fv.real
+        fwd, inv = (np.fft.rfft, np.fft.irfft) if real else (np.fft.fft, np.fft.ifft)
+        f0, f1 = fv[0], fv[1]
+        b1 = (1.0 - 0.5 * h * f1) / (1.0 + 0.5 * h * f0)
+        # (1 + z) T: T is F with the Gregory end weights 5/12 and 13/12 folded in.
+        p = _times_one_plus_z(fv)
+        p[:3] = (5.0 * f0 / 12.0, 5.0 * f0 / 12.0 + 13.0 * f1 / 12.0, 13.0 * f1 / 12.0 + fv[2])
+        p *= h
+        p[0] += 1.0
+        p[1] -= 1.0
+        # S = h (1 + z) (7F/12 - b1 z F/12 - f0/6 - T/(1 - z)), where T/(1 - z)
+        # is the running sum of F less 7 f0/12 - f1/12 past its first term.
+        rhs = np.cumsum(fv)
+        rhs -= 7.0 * f0 / 12.0 - f1 / 12.0
+        np.subtract(7.0 / 12.0 * fv, rhs, out=rhs)
+        rhs[1:] -= b1 / 12.0 * fv[:-1]
+        rhs[0] = 0.0  # 7f0/12 - f0/6 - 5f0/12: zero, so W starts at 0
+        s = _times_one_plus_z(rhs)
+        s *= h
+        del rhs
 
-    ends = [n + 1]
-    while ends[-1] > 1:
-        ends.append((ends[-1] + 1) // 2)
-    ends.reverse()
-    q = np.empty(ends[-2], dtype=fv.dtype)  # 1/P, up to the last block
-    w = np.empty(n + 1, dtype=fv.dtype)  # W, and b once the last block is in
-    q[0] = 1.0 / p[0]
-    w[0] = 0.0
-    limit = 1.0 + constants.AMPLITUDE_INSTABILITY_SLACK
-    for lo, hi in zip(ends, ends[1:]):
-        m = hi - lo
-        # At least hi, so no product wraps into [lo, hi), nor one with Q into
-        # [0, m); even, since odd lengths slow numpy's real transforms.
-        size = 2 * _fft_length(-(-hi // 2))
-        fp = fwd(p[:hi], size)
-        fq = fwd(q[:lo], size)
-        # W[lo:hi] = (Q r)[:m] with r = (S - P W[:lo])[lo:hi], which needs Q to order m <= lo.
-        acc = fwd(w[:lo], size)
-        acc *= fp
-        acc = fwd(s[lo:hi] - inv(acc, size)[lo:hi], size)
-        acc *= fq
-        w[lo:hi] = inv(acc, size)[:m]
-        over = np.flatnonzero(np.abs(w[lo:hi] + 1.0) > limit)
-        if over.size:
-            k = lo + int(over[0])
-            raise NumericalFailureError(
-                f"|b({k * dt:g})| = {abs(w[k] + 1.0):.6f} exceeds 1 + {constants.AMPLITUDE_INSTABILITY_SLACK:g}; "
-                "reduce dt"
-            )
-        if hi <= n:
-            # Newton: q[lo:hi] = -(Q e)[:m] with e = (P Q)[lo:hi], the residual of P Q = 1.
-            fp *= fq
-            acc = fwd(inv(fp, size)[lo:hi], size)
+        ends = [n + 1]
+        while ends[-1] > 1:
+            ends.append((ends[-1] + 1) // 2)
+        ends.reverse()
+        q = np.empty(ends[-2], dtype=fv.dtype)  # 1/P, up to the last block
+        w = np.empty(n + 1, dtype=fv.dtype)  # W, and b once the last block is in
+        q[0] = 1.0 / p[0]
+        w[0] = 0.0
+        limit = 1.0 + constants.AMPLITUDE_BOUND_SLACK
+        for lo, hi in zip(ends, ends[1:]):
+            m = hi - lo
+            # At least hi, so no product wraps into [lo, hi), nor one with Q into
+            # [0, m); even, since odd lengths slow numpy's real transforms.
+            size = 2 * _fft_length(-(-hi // 2))
+            fp = fwd(p[:hi], size)
+            fq = fwd(q[:lo], size)
+            # W[lo:hi] = (Q r)[:m] with r = (S - P W[:lo])[lo:hi], which needs Q to order m <= lo.
+            acc = fwd(w[:lo], size)
+            acc *= fp
+            acc = fwd(s[lo:hi] - inv(acc, size)[lo:hi], size)
             acc *= fq
-            q[lo:hi] = -inv(acc, size)[:m]
-    w += 1.0
+            w[lo:hi] = inv(acc, size)[:m]
+            over = np.flatnonzero(~(np.abs(w[lo:hi] + 1.0) <= limit))
+            if over.size:
+                k = lo + int(over[0])
+                peak = abs(w[k] + 1.0)
+                if not math.isfinite(peak):
+                    raise PhysicalityError(f"|b({k * dt:g})| is not finite: the correlation, |f(0)| = "
+                                           f"{abs(f0):g}, overflows the solve at dt {dt:g}")
+                raise NumericalFailureError(f"|b({k * dt:g})| = {peak:.6f} exceeds "
+                                            f"1 + {constants.AMPLITUDE_BOUND_SLACK:g}; reduce dt")
+            if hi <= n:
+                # Newton: q[lo:hi] = -(Q e)[:m] with e = (P Q)[lo:hi], the residual of P Q = 1.
+                fp *= fq
+                acc = fwd(inv(fp, size)[lo:hi], size)
+                acc *= fq
+                q[lo:hi] = -inv(acc, size)[:m]
+        w += 1.0
     log.debug("solve_volterra: %d steps, %s transforms, %d doublings, largest transform %d",
               n, "real" if real else "complex", len(ends) - 1, size)
     return AmplitudeTrajectory(dt=dt, values=w)
@@ -431,26 +429,20 @@ def _closed_form_blocks(model: Lorentzian, dt: float, n: int) -> np.ndarray:
     """The Lorentzian closed form at t = dt*k, k = 0 .. n, written block by block into one array.
 
     Block [lo, hi) takes its times from dt * arange(lo, hi), the elements of
-    dt * arange(n + 1), and the elementwise operations of the whole-array
-    closed form, so b has the bits of `lorentzian_closed_form` (float64) or
-    `_detuned_closed_form` (complex128) on the whole grid. Beside b, the
-    times and one temporary exist at one block's length, at most
-    `_CLOSED_FORM_BLOCK` + 1 samples; no block has fewer than two.
+    dt * arange(n + 1), and `_closed_form_into` runs the elementwise
+    operations of the whole-array closed form on them, so b (float64 at
+    zero detuning, complex128 otherwise) has the bits of the whole grid at
+    once. Beside b, the times and one temporary exist at one block's
+    length, at most `_CLOSED_FORM_BLOCK` + 1 samples; no block has fewer
+    than two.
     """
-    if model.detuning == 0.0:
-        out = np.empty(n + 1)
-        k = kappa(model)
-        write = lambda tt, blk, tmp: _resonant_into(model.gamma0, model.width, k, tt, blk, tmp)
-    else:
-        out = np.empty(n + 1, dtype=complex)
-        s1, d = _poles(model)
-        write = lambda tt, blk, tmp: _detuned_into(model, s1, d, tt, blk, tmp, dt * n)
+    out = np.empty(n + 1, dtype=float if model.detuning == 0.0 else complex)
     tmp = np.empty(min(n + 1, _CLOSED_FORM_BLOCK + 1), dtype=out.dtype)
     for lo in range(0, n, _CLOSED_FORM_BLOCK):
         # The last block takes the last sample: numpy multiplies a lone complex
         # sample in place by another path than an array's, whose bits differ.
         hi = n + 1 if lo + _CLOSED_FORM_BLOCK >= n else lo + _CLOSED_FORM_BLOCK
-        write(dt * np.arange(lo, hi), out[lo:hi], tmp[:hi - lo])
+        _closed_form_into(model, dt * np.arange(lo, hi), out[lo:hi], tmp[:hi - lo], dt * n)
     return out
 
 

@@ -16,7 +16,6 @@ import argparse
 import json
 import logging
 import math
-import mmap
 import os
 import re
 import sys
@@ -399,12 +398,6 @@ def _format_cells(v: np.ndarray, out: np.ndarray, tables: SimpleNamespace) -> in
     return slow.size
 
 
-def _mapped(shape: tuple, dtype) -> np.ndarray:
-    """A zeroed array in an anonymous memory map of its own, unmapped once unused."""
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
-
-
 def _signal_blocks(traj: AmplitudeTrajectory):
     """Each `_CSV_BLOCK` rows' seven distinct CSV columns, elementwise from their samples of b."""
     b = traj.values
@@ -420,14 +413,12 @@ def _write_rows(fh, blocks) -> tuple[int, int]:
 
     A block, at most `_CSV_BLOCK` rows in `_signal_blocks`' column order, is
     formatted once into NUL-padded cells, which one `translate` turns into
-    the bytes of one write. The buffers are memory maps: from the malloc
-    heap, they moved a later 31 MB array of the process on top of a grown
-    heap, and the closed_form benchmark's peak RSS read 123 MB, not 112 MB.
-    Returns the bytes written and the cells Python formatted.
+    the bytes of one write. Returns the bytes written and the cells Python
+    formatted.
     """
-    block = _mapped((_CSV_BLOCK, 7), np.float64)
-    cells = _mapped((_CSV_BLOCK, 7, 5), "<u8")
-    rows = _mapped((_CSV_BLOCK, _CSV_FIELDS.size, 5), "<u8")
+    block = np.empty((_CSV_BLOCK, 7))
+    cells = np.empty((_CSV_BLOCK, 7, 5), "<u8")
+    rows = np.empty((_CSV_BLOCK, _CSV_FIELDS.size, 5), "<u8")
     tables = _cell_tables()
     written = slow = 0
     for columns in blocks:
@@ -449,7 +440,10 @@ def cmd_simulate(cfg: RunConfig, out) -> int:
     with _output(out) as fh:
         fh.write(header)
         fh.flush()  # the rows go to the binary stream beneath
-        written, slow = _write_rows(fh.buffer, _signal_blocks(traj))
+        binary = getattr(fh, "buffer", None)
+        if binary is None:  # a text stream with none, such as io.StringIO, takes the same text
+            binary = SimpleNamespace(write=lambda data: fh.write(data.decode("ascii")))
+        written, slow = _write_rows(binary, _signal_blocks(traj))
     log.debug("simulate: %d rows, %d bytes written, %d of %d cells formatted by Python",
               traj.values.size, len(header) + written, slow, 7 * traj.values.size)
     return EXIT_OK

@@ -13,9 +13,9 @@ PSD_EIGENVALUE_FLOOR = -1e-10  # smallest eigenvalue accepted as "positive"
 COHERENCE_SLACK = 1e-12      # |beta|^2 <= alpha(1-alpha) + this
 
 # Amplitudes: trajectories, channel inputs and the signals made from them
-AMPLITUDE_BOUND_SLACK = 1e-8     # |b| <= 1 + this: stored trajectories and channel inputs;
-                                 # signals stay within [0, 1] by this
-AMPLITUDE_INSTABILITY_SLACK = 1e-6  # solver aborts past 1 + this
+AMPLITUDE_BOUND_SLACK = 1e-8     # |b| <= 1 + this: stored trajectories and channel inputs, and
+                                 # the step where a Volterra solve aborts; signals stay within
+                                 # [0, 1] by this
 
 # Largest step count round(t_max/dt) of a grid the CLI builds: a 2 GiB budget
 # at 256 bytes per step (a Volterra `measure` at 2^17 steps peaks at 147 bytes

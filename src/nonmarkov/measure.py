@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constants
-from .amplitude import AmplitudeTrajectory, amplitude_envelope, lorentzian_min_times
+from .amplitude import AmplitudeTrajectory, _envelope_time, amplitude_envelope, lorentzian_min_times
 from .dynamics import (
     ScalarTrajectory,
     StatePair,
@@ -214,9 +214,13 @@ def _geometric_tail(model: Lorentzian, n: int) -> tuple[float, float]:
     """(q, q^(n+1)/(1 - q)) of a non-Markovian resonant Lorentzian.
 
     |b| peaks at q^m, q = e^{-pi width/kappa}, at t_m = 2 pi m/kappa, so
-    the second value is the sum of those maxima past the n-th.
+    the second value is the sum of those maxima past the n-th. A width so
+    narrow that q rounds to 1 has no such sum and is rejected.
     """
     q = math.exp(-math.pi * model.width / kappa(model))
+    if q == 1.0:
+        raise PhysicalityError(f"width {model.width:g} is too narrow: the maxima of |b| decay by q = 1 "
+                               "per period in floating point, so the measure's tail has no bound")
     return q, q ** (n + 1) / (1.0 - q)
 
 
@@ -261,7 +265,7 @@ def _resonant_interval_count(model: Lorentzian, horizon: float):
         return bool(_kept_maxima(model, horizon, 2.0 * math.pi * n / k))
 
     # The envelope reaches the cutoff at t_cut; the loops settle the rounding at the edge.
-    t_cut = 2.0 * math.log((1.0 + width / k) / constants.ENVELOPE_CUTOFF) / width
+    t_cut = _envelope_time(width, k, constants.ENVELOPE_CUTOFF)
     last = min(horizon, t_cut) * k / (2.0 * math.pi)
     if not math.isfinite(last):
         return math.inf

@@ -220,17 +220,20 @@ class CorrelationSamples(_SampleGrid):
     """f(n*dt) on a uniform grid, n = 0 .. len(values)-1."""
 
     def _check(self, v: np.ndarray) -> None:
-        if np.max(np.abs(v)) > 0 and not v[0].real > 0:
+        if _max_abs(v) > 0 and not v[0].real > 0:
             raise PhysicalityError("f(0) must have positive real part for nontrivial coupling")
 
 
-def _check_phase(model: Lorentzian, values: np.ndarray, t) -> None:
-    """Reject Lorentzian samples that are not finite: detuning * t overflowed.
+def _check_phase(model: SpectralModel, values, t) -> None:
+    """Reject samples, or a largest phase, that are not finite: detuning or qubit_frequency times t overflowed.
 
-    t is the samples' times, or the last time of the grid they belong to.
+    The frequency is a Lorentzian's detuning, or the qubit_frequency of the
+    other spectra. t is the samples' times, or the last time of the grid
+    they belong to.
     """
     if not np.isfinite(values).all():
-        raise PhysicalityError(f"detuning {model.detuning:g} is too large for t up to "
+        name = "detuning" if isinstance(model, Lorentzian) else "qubit_frequency"
+        raise PhysicalityError(f"{name} {getattr(model, name):g} is too large for t up to "
                                f"{np.max(t):g}: the phase overflows")
 
 
@@ -291,8 +294,11 @@ def _ohmic_correlation(model: OhmicFamily, t: np.ndarray) -> np.ndarray:
         )
     # (1 + i*cutoff*t)^-(s+1) on the principal branch, taken through its
     # logarithm so that large exponents underflow to 0 instead of inf/inf.
-    log_denominator = (s + 1.0) * np.log1p(1j * model.cutoff * t)
-    return scale * np.exp(1j * model.qubit_frequency * t - log_denominator)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing phase is rejected below
+        log_denominator = (s + 1.0) * np.log1p(1j * model.cutoff * t)
+        values = scale * np.exp(1j * model.qubit_frequency * t - log_denominator)
+    _check_phase(model, values, t)
+    return values
 
 
 # The tabulated node sum runs over blocks of this many consecutive samples,
@@ -426,10 +432,12 @@ def _tabulated_correlation(model: Tabulated, dt: float, t: np.ndarray) -> np.nda
         nodes, jumps = _slope_jumps(w, j)
         x = nodes - model.qubit_frequency
         keep, dropped = _prune_nodes(x, jumps, f0)
+        phase = np.abs(w[[0, -1]] - model.qubit_frequency).max() * t[-1]  # the largest |x t|
     if not np.isfinite(f0):
         raise PhysicalityError("the trapezoid integral of the tabulated J overflows")
     if not np.isfinite(jumps).all():
         raise PhysicalityError("a slope of the tabulated J overflows")
+    _check_phase(model, phase, t)
     log.debug("tabulated correlation: %d of %d nodes kept, dropped terms <= %.3g f(0), %d samples",
               np.count_nonzero(keep), keep.size, dropped / f0 if f0 else 0.0, t.size)
     tp = t[1:]

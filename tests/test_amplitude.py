@@ -20,7 +20,7 @@ from nonmarkov.amplitude import (
     lorentzian_closed_form,
     lorentzian_min_times,
     solve_volterra,
-    _detuned_closed_form,
+    _closed_form_into,
     _fft_length,
     _poles,
 )
@@ -50,7 +50,7 @@ def reference_volterra(f, cfg):
     b = np.empty(n + 1, dtype=complex)
     b[0] = 1.0
     bprime = 0.0 + 0.0j  # b'(0): the memory integral vanishes at t = 0
-    limit = 1.0 + constants.AMPLITUDE_INSTABILITY_SLACK
+    limit = 1.0 + constants.AMPLITUDE_BOUND_SLACK
     for k in range(1, n + 1):
         # Trapezoidal history sum without the j = k endpoint:
         # S = f[k] b[0]/2 + sum_{j=1}^{k-1} f[k-j] b[j]
@@ -128,13 +128,21 @@ def reference_closed_form(gamma0, width, t):
 
 
 def reference_detuned_closed_form(model, t):
-    """`_detuned_closed_form` as whole-array expressions with a temporary per step: its bit oracle."""
+    """The detuned `_closed_form_into` as whole-array expressions with a temporary per step: its bit oracle."""
     s1, d = _poles(model)
     tt = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         decay = -np.expm1(-d * tt) / d if d != 0.0 else tt
         out = np.exp(s1 * tt) * (1.0 - s1 * decay)
     return np.where(tt == 0.0, 1.0, out)
+
+
+def closed_form(model, t):
+    """b at times t from the one closed-form writer: real at zero detuning, complex otherwise."""
+    tt = np.asarray(t, dtype=float)
+    out = np.empty(tt.shape, dtype=float if model.detuning == 0.0 else complex)
+    _closed_form_into(model, tt, out, np.empty_like(out), tt)
+    return out
 
 
 def bits(x):
@@ -235,7 +243,9 @@ class TestClosedFormBits:
     @pytest.mark.parametrize("width", [0.1, 2.0, 5.0, 1e16], ids=["oscillatory", "critical", "monotone", "wide"])
     def test_array_t(self, width):
         for t in (self.GRID, self.MIXED, self.MIXED.reshape(2, 4)):
-            assert bits(lorentzian_closed_form(1.0, width, t)) == bits(reference_closed_form(1.0, width, t))
+            want = bits(reference_closed_form(1.0, width, t))
+            assert bits(lorentzian_closed_form(1.0, width, t)) == want
+            assert bits(closed_form(Lorentzian(1.0, width), t)) == want
 
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.37, 12.5, 400.0, np.float64(3.0), np.array(0.0)])
     @pytest.mark.parametrize("width", [0.1, 2.0, 5.0], ids=["oscillatory", "critical", "monotone"])
@@ -249,13 +259,14 @@ class TestClosedFormBits:
     def test_detuned(self, width, detuning):
         model = Lorentzian(1.0, width, detuning)
         for t in (self.GRID, self.MIXED[self.MIXED < 1e300]):
-            assert bits(_detuned_closed_form(model, t)) == bits(reference_detuned_closed_form(model, t))
+            assert bits(closed_form(model, t)) == bits(reference_detuned_closed_form(model, t))
 
     def test_detuned_at_equal_poles(self):
-        # d = 0 only at zero detuning and the critical width, where (1 - e^{-d t})/d is t.
-        model = Lorentzian(1.0, 2.0, 0.0)
+        # At the critical width, a detuning whose square underflows leaves d = 0,
+        # where (1 - e^{-d t})/d is t.
+        model = Lorentzian(1.0, 2.0, 5e-324)
         assert _poles(model)[1] == 0.0
-        assert bits(_detuned_closed_form(model, self.GRID)) == bits(reference_detuned_closed_form(model, self.GRID))
+        assert bits(closed_form(model, self.GRID)) == bits(reference_detuned_closed_form(model, self.GRID))
 
 
 class TestBlockedTrajectory:
@@ -278,7 +289,7 @@ class TestBlockedTrajectory:
             want = lorentzian_closed_form(model.gamma0, model.width, t)
             assert bits(want) == bits(reference_closed_form(model.gamma0, model.width, t))
         else:
-            want = _detuned_closed_form(model, t)
+            want = closed_form(model, t)
             assert bits(want) == bits(reference_detuned_closed_form(model, t))
         assert bits(traj.values) == bits(want)
 
@@ -442,6 +453,26 @@ class TestVolterra:
         with pytest.raises(NumericalFailureError, match=r"\|b\(0\.19\)\| = 1\.000067$"):
             reference_volterra(f, cfg)
 
+    def test_excursion_below_the_old_slack_is_a_numerical_failure(self):
+        # |b| leaves the disk by 4.6e-7, less than a slack of 1e-6 but more than
+        # the trajectory's bound: the solve itself stops, with its advice.
+        dt = 0.01
+        values = np.full(11, -1e-4, dtype=complex)
+        values[0] = 1e-6
+        cfg = SolverConfig(dt=dt, t_max=0.1, method=Method.VOLTERRA)
+        with pytest.raises(NumericalFailureError, match=r"= 1\.000000 exceeds 1 \+ 1e-08; reduce dt"):
+            solve_volterra(CorrelationSamples(dt=dt, values=values), cfg)
+
+    def test_overflowing_kernel_is_one_error_without_warnings(self):
+        # The scheme's sums of a kernel near the largest float overflow; the
+        # solve reports it at its bound check, with no numpy warning.
+        dt = 0.01
+        f = correlation(OhmicFamily(coupling=1.7976931348623157e308, exponent=1.0, cutoff=1.0,
+                                    qubit_frequency=1.0), dt, 501)
+        cfg = SolverConfig(dt=dt, t_max=5.0, method=Method.VOLTERRA)
+        with pytest.raises(PhysicalityError, match=r"\|b\(0\.01\)\| is not finite"):
+            solve_volterra(f, cfg)
+
     def test_grid_mismatch_rejected(self):
         f = CorrelationSamples(dt=0.02, values=np.full(100, 0.1, dtype=complex))
         cfg = SolverConfig(dt=0.01, t_max=0.5, method=Method.VOLTERRA)
@@ -526,7 +557,7 @@ class TestDetunedClosedForm:
     @pytest.mark.parametrize("width", [0.1, 1.0, 2 * (1 - 1e-6), 2.0, 2 * (1 + 1e-6), 5.0])
     def test_matches_mpmath_oracle(self, width, detuning):
         t = np.linspace(0.0, 60.0, 241)
-        got = _detuned_closed_form(Lorentzian(1.0, width, detuning), t)
+        got = closed_form(Lorentzian(1.0, width, detuning), t)
         assert np.max(np.abs(got - mpmath_detuned(width, detuning, t))) <= 1e-13
 
     @pytest.mark.parametrize("detuning", [0.3, 1e4])
@@ -535,7 +566,7 @@ class TestDetunedClosedForm:
         # The slower pole is small against |a| here: taken as the difference
         # (r - a)/2 it would lose up to 1e-9 of b.
         t = np.linspace(0.0, 60.0, 61)
-        got = _detuned_closed_form(Lorentzian(1.0, width, detuning), t)
+        got = closed_form(Lorentzian(1.0, width, detuning), t)
         assert np.max(np.abs(got - mpmath_detuned(width, detuning, t))) <= 1e-13
 
     @pytest.mark.parametrize("width", [0.1, 1.0, 2.0, 5.0])
@@ -549,14 +580,14 @@ class TestDetunedClosedForm:
         cfg = SolverConfig(dt=1e-2, t_max=10.0, method=Method.CLOSED_FORM)
         traj = compute_trajectory(Lorentzian(1.0, 0.5, detuning=1.0), cfg)
         assert np.array_equal(traj.values,
-                              _detuned_closed_form(Lorentzian(1.0, 0.5, 1.0), traj.times()))
+                              closed_form(Lorentzian(1.0, 0.5, 1.0), traj.times()))
 
     @pytest.mark.parametrize("detuning", [0.3, 1.0])
     def test_horizon_bounds_amplitude_by_cutoff(self, detuning):
         model = Lorentzian(1.0, 0.1, detuning)
         horizon = default_horizon(1.0, 0.1, detuning)
         t = np.linspace(0.0, 3.0 * horizon, 300001)
-        b = np.abs(_detuned_closed_form(model, t))
+        b = np.abs(closed_form(model, t))
         assert np.max(b[t >= horizon]) <= constants.ENVELOPE_CUTOFF / 2
         # The bound it comes from holds everywhere and is tight at the horizon.
         s1, d = _poles(model)

@@ -1,10 +1,12 @@
 """Tests for the command-line front end: outputs, determinism, exit codes."""
 
+import contextlib
 import io
 import json
 import logging
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +134,14 @@ class TestSimulate:
         rows = stdout.count(b"\n") - 1
         assert rows == 2501 and rows % cli._CSV_BLOCK  # two full blocks and a partial one
         assert stdout == (tmp_path / "out.txt").read_bytes()
+
+    def test_text_stdout_without_binary_buffer_matches_out_file(self, tmp_path):
+        # io.StringIO has no binary stream beneath; the rows go to it as text.
+        argv = ["simulate", "--width-ratio", "0.1", "--t-max", "2.5"]
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            assert main(argv) == EXIT_OK
+        assert run(tmp_path, *argv)[0] == EXIT_OK
+        assert stdout.getvalue().encode("ascii") == (tmp_path / "out.txt").read_bytes()
 
     def test_detuned_default_horizon_decays(self, tmp_path):
         # The slower pole decays at 0.0218, not at the resonant width/2 = 0.05.
@@ -1243,3 +1253,100 @@ class TestDependencies:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
         assert json.loads((tmp_path / "volterra.json").read_text())["n_single"]["extrema"]
+
+
+class TestInputContract:
+    """Each input is honoured or refused in one stderr line, with no warning or traceback.
+
+    One key at a time, every key that a subcommand reads takes each of
+    `VALUES`, in its INI file and as a flag where it has one. The model keys
+    run on the base of their model type; the solver's dt and t_max on every
+    base; method and the [run] keys on the Lorentzian one. A second
+    Lorentzian base has no t_max, so its default horizon meets each dt and
+    width. `sweep` runs on the Lorentzian bases only. The runs are
+    in-process with warnings as errors: each must exit 0, 1, 2 or 3, with at
+    most one stderr line and none on exit 0.
+    """
+
+    VALUES = ["0", "-0.0", "5e-324", "1e-300", "1e-8", "1", "3", "1e8", "1e300",
+              "1.7976931348623157e308", "inf", "-inf", "nan", "-1", "abc", ""]
+    FLAGS = {"width_ratio", "dt", "t_max", "seed", "samples", "jobs"}
+    # Small grids, so that an accepted run takes milliseconds.
+    BASES = {
+        "lorentzian": {"model": {"type": "lorentzian", "width_ratio": "1", "detuning": "0"},
+                       "solver": {"method": "auto", "dt": "0.01", "t_max": "5"},
+                       "run": {"seed": "1", "samples": "100", "jobs": "1"}},
+        # No t_max: the default horizon, 386 at width 0.1, where the envelope sets it.
+        "horizon": {"model": {"width_ratio": "0.1", "detuning": "0"}, "solver": {"dt": "0.2"}},
+        "ohmic": {"model": {"type": "ohmic", "coupling": "0.1", "exponent": "1", "cutoff": "1",
+                            "qubit_frequency": "1"},
+                  "solver": {"dt": "0.01", "t_max": "5"}},
+        "tabulated": {"model": {"type": "tabulated", "table": "table.txt", "qubit_frequency": "5"},
+                      "solver": {"dt": "0.01", "t_max": "5"}},
+    }
+    EXTRA = {"simulate": [], "measure": [], "verify": [],
+             "sweep": ["--width-from", "0.5", "--width-to", "1", "--steps", "2"]}
+
+    @staticmethod
+    def outcome(argv):
+        """(exit code, stderr) of one in-process run; a warning or traceback fails the run."""
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag's value
+                code = exc.code
+            except Exception as exc:  # noqa: BLE001 - the run's failure is the finding
+                return None, f"{type(exc).__name__}: {exc}"
+        return code, err.getvalue()
+
+    def cases(self, command, tmp_path):
+        """(what, argv) for each probed key, base and value, in INI and as a flag."""
+        w = np.linspace(1.0, 9.0, 50)
+        np.savetxt(tmp_path / "table.txt", np.column_stack([w, 0.3 * np.exp(-((w - 5.0) ** 2))]))
+        (tmp_path / "empty.txt").write_text("")
+        reads = cli._READS[command]
+
+        def write(path, sections):
+            path.write_text("".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                                    for name, keys in sections.items() if keys))
+            return [command, "--config", str(path), *self.EXTRA[command]]
+
+        for name, base in self.BASES.items():
+            if command == "sweep" and name not in ("lorentzian", "horizon"):
+                continue
+            base = {section: {k: v for k, v in keys.items() if k in reads.get(section, ())}
+                    for section, keys in base.items()}
+            for section, keys in base.items():
+                for key in keys:
+                    if key == "type" and name != "lorentzian":
+                        continue
+                    # sweep runs at --jobs 1, except where its jobs key itself is probed.
+                    extra = ["--jobs", "1"] if command == "sweep" and key != "jobs" else []
+                    unset = write(tmp_path / f"{name}-{key}.ini",
+                                  {s: {k: v for k, v in ks.items() if k != key} for s, ks in base.items()})
+                    for i, value in enumerate(self.VALUES + (["empty.txt"] if key == "table" else [])):
+                        ini = {s: dict(ks) for s, ks in base.items()}
+                        ini[section][key] = value
+                        yield (f"{name} INI {key} = {value!r}",
+                               write(tmp_path / f"{name}-{key}-{i}.ini", ini) + extra)
+                        if key in self.FLAGS:
+                            flag = "--" + key.replace("_", "-")
+                            yield f"{name} {flag}={value!r}", unset + extra + [f"{flag}={value}"]
+
+    @pytest.mark.parametrize("command", ["simulate", "measure", "verify", "sweep"])
+    def test_every_key_and_extreme_value(self, tmp_path, monkeypatch, command):
+        # A resonant closed-form sweep has no grid point, so even jobs = 3 starts no pool.
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", None)
+        # One parser for every run: building it is most of the time of a refused run.
+        parser = cli.make_parser()
+        monkeypatch.setattr(cli, "make_parser", lambda: parser)
+        bad, codes = [], []
+        for what, argv in self.cases(command, tmp_path):
+            code, err = self.outcome(argv)
+            codes.append(code)
+            if code not in (0, 1, 2, 3) or len(err.splitlines()) > (code != 0):
+                bad.append(f"{what}: exit {code}, stderr {err!r}")
+        assert not bad, f"{len(bad)} of {len(codes)} runs broke the contract:\n" + "\n".join(bad[:10])
+        assert 0 in codes and 1 in codes  # some runs are accepted and some refused

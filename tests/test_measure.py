@@ -1191,6 +1191,12 @@ class TestResonantMeasures:
             assert report.total == report.tail_bound == 0.0 and report.intervals == ()
         assert resonant(2.0 - 1e-6)[0].closed_form_total == 0.0
 
+    @pytest.mark.parametrize("width", [5e-324, 1e-300, 1e-40])
+    def test_ratio_of_one_rejected(self, width):
+        # q = e^{-pi width/kappa} rounds to 1: the maxima do not decay, and 1 - q would divide by 0.
+        with pytest.raises(PhysicalityError, match=f"width {width:g} is too narrow: .* q = 1 per period"):
+            resonant(width, 5.0)
+
     def test_count_before_any_array(self):
         tracemalloc.start()
         try:

@@ -228,6 +228,13 @@ class TestOhmicCorrelation:
         with pytest.raises(PhysicalityError, match=r"^coupling \* cutoff\^2 \* Gamma\(2\) overflows"):
             correlation(model, dt=0.1, n=5)
 
+    def test_phase_overflow_rejected(self):
+        # qubit_frequency * t overflows; no numpy warning comes before the error.
+        model = OhmicFamily(coupling=0.1, exponent=1.0, cutoff=1.0, qubit_frequency=1.7976931348623157e308)
+        with pytest.raises(PhysicalityError, match=re.escape(
+                "qubit_frequency 1.79769e+308 is too large for t up to 5: the phase overflows")):
+            correlation(model, dt=0.01, n=501)
+
 
 def reference_tabulated(model, t):
     """The exact integral segment by segment, one Python step per segment.
@@ -415,6 +422,14 @@ class TestTabulatedCorrelation:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20
+
+    def test_phase_overflow_rejected(self):
+        # (w - w0) t overflows at the table's ends; no numpy warning comes first.
+        model = Tabulated(points=np.array([[1.0, 0.0], [2.0, 0.3], [3.0, 0.0]]),
+                          qubit_frequency=1.7976931348623157e308)
+        with pytest.raises(PhysicalityError, match=re.escape(
+                "qubit_frequency 1.79769e+308 is too large for t up to 5: the phase overflows")):
+            correlation(model, dt=0.01, n=501)
 
     def test_zero_outside_table(self):
         pts = np.array([[1.0, 0.2], [2.0, 0.2]])
